@@ -96,9 +96,8 @@ from repro.persistence import (
 from repro.metrics import (
     AccessCounter,
     LatencyRecorder,
+    MetricsRegistry,
     NetMetrics,
-    RouterMetrics,
-    ServiceMetrics,
 )
 from repro.net import Authenticator, CubeClient, CubeServer, Tenant
 from repro.routing import (
@@ -161,6 +160,7 @@ __all__ = [
     "InvertibleOperator",
     "LatencyRecorder",
     "MemorySource",
+    "MetricsRegistry",
     "MultiMeasureEngine",
     "NaiveCube",
     "NetMetrics",
@@ -178,12 +178,10 @@ __all__ = [
     "RollupBuilder",
     "RollupCube",
     "RoutedBatch",
-    "RouterMetrics",
     "ServiceClosedError",
     "ServiceTarget",
     "ShardMap",
     "Tenant",
-    "ServiceMetrics",
     "ServiceOverloadedError",
     "StorageError",
     "WriteAheadLog",

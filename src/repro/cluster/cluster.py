@@ -59,7 +59,7 @@ from repro.errors import (
     ClusterUnavailableError,
     DeadlineExceededError,
 )
-from repro.metrics.cluster import ClusterMetrics
+from repro.metrics.registry import MetricsRegistry
 from repro.serve.service import CubeService
 from repro.serve.wal import DurabilityPolicy
 
@@ -139,7 +139,28 @@ class CubeCluster:
             )
         array = np.asarray(array)
         self.shardmap = ShardMap(array.shape, num_shards)
-        self.metrics = ClusterMetrics()
+        # One registry for the whole cluster: the replica sets, breakers,
+        # prober, scrubber and reshard coordinator all count into it, per
+        # node and per shard, since "which replica is sick" is the first
+        # question an operator asks. read_latency times routed shard
+        # reads (the winning hedge arm), which the hedge delay follows.
+        self.metrics = MetricsRegistry(
+            counters=(
+                "queries_routed", "query_shard_reads", "updates_routed",
+                "probes", "hedged_reads", "hedge_wins", "deadline_exceeded",
+                "unavailable_errors", "scrub_rounds", "scrub_digest_checks",
+                "scrub_divergences", "scrub_repairs", "reshards_started",
+                "reshard_flips", "reshard_rollbacks", "dual_writes",
+                "degraded_reads", "estimate_refused",
+            ),
+            keyed=(
+                "shard_queries", "shard_updates", "probe_failures",
+                "breaker_trips", "breaker_resets", "node_failures",
+                "failovers", "replica_lags", "replica_resyncs",
+                "reshard_phases", "warming_failures", "degraded_shard_reads",
+            ),
+            latencies=("read_latency",),
+        )
         self.faults = fault_plan
         self._method_cls = method_cls
         self._method_kwargs = dict(method_kwargs or {})
@@ -442,7 +463,7 @@ class CubeCluster:
                 idx.append(i)
                 slo.append(local_low)
                 shi.append(local_high)
-        self.metrics.record_query(len(per_shard))
+        self.metrics.inc(queries_routed=1, query_shard_reads=len(per_shard))
         out: Optional[np.ndarray] = None
         shard_versions: Dict[int, int] = {}
         degraded: Dict[int, Tuple[List[int], List, List]] = {}
@@ -456,7 +477,7 @@ class CubeCluster:
                 if allow_estimate:
                     degraded[shard] = per_shard[shard]
                     continue
-                self.metrics.record_unavailable()
+                self.metrics.inc(unavailable_errors=1)
                 raise
             except DeadlineExceededError:
                 raise
@@ -516,8 +537,7 @@ class CubeCluster:
             except ClusterError as error:
                 # no aggregate either (e.g. rollback skipped a downed
                 # shard): fail exactly rather than guess unboundedly
-                self.metrics.record_estimate_refused()
-                self.metrics.record_unavailable()
+                self.metrics.inc(estimate_refused=1, unavailable_errors=1)
                 raise ClusterUnavailableError(
                     f"shard {shard} is unreachable and has no "
                     f"aggregates to estimate from: {error}"
@@ -536,7 +556,9 @@ class CubeCluster:
                 degraded_shards=degraded_shards,
                 epoch=int(epoch),
             )
-        self.metrics.record_degraded_read(degraded_shards)
+        self.metrics.inc(degraded_reads=1)
+        for shard in degraded_shards:
+            self.metrics.inc_key("degraded_shard_reads", shard)
         return np.where(estimated, point, out)
 
     def range_sum(
@@ -591,14 +613,14 @@ class CubeCluster:
                         grouped[shard], timeout=timeout, deadline=deadline
                     )
                 except DeadlineExceededError as error:
-                    self.metrics.record_deadline_exceeded()
+                    self.metrics.inc(deadline_exceeded=1)
                     raise ClusterUnavailableError(
                         f"deadline expired before shard {shard} acked: "
                         f"{error}",
                         acked=acked,
                     ) from error
                 except ClusterUnavailableError as error:
-                    self.metrics.record_unavailable()
+                    self.metrics.inc(unavailable_errors=1)
                     raise ClusterUnavailableError(
                         str(error), acked=acked
                     ) from error

@@ -115,7 +115,7 @@ class CircuitBreaker:
             self._state = self.CLOSED
             self._failures = 0
         if was_broken and self._metrics is not None:
-            self._metrics.record_breaker_reset(self.node_id)
+            self._metrics.inc_key("breaker_resets", self.node_id)
 
     @property
     def warming(self) -> bool:
@@ -149,7 +149,7 @@ class CircuitBreaker:
                 warming = False
         if warming:
             if self._metrics is not None:
-                self._metrics.record_warming_failure(self.node_id)
+                self._metrics.inc_key("warming_failures", self.node_id)
             return
         with self._lock:
             if self._probe_state() == self.HALF_OPEN:
@@ -167,7 +167,7 @@ class CircuitBreaker:
                     self._state = self.OPEN
                     self._opened_at = self._clock()
         if tripped and self._metrics is not None:
-            self._metrics.record_breaker_trip(self.node_id)
+            self._metrics.inc_key("breaker_trips", self.node_id)
 
     def __repr__(self) -> str:
         return (
@@ -234,12 +234,13 @@ class HealthMonitor:
             else:
                 ok = True
             results[node.node_id] = ok
-            metrics.record_probe(node.node_id, ok)
+            metrics.inc(probes=1)
             if ok:
                 breaker.record_success()
             else:
+                metrics.inc_key("probe_failures", node.node_id)
                 if node.node_id not in warming_ids:
-                    metrics.record_node_failure(node.node_id)
+                    metrics.inc_key("node_failures", node.node_id)
                 breaker.record_failure()
         for replica_set in self._cluster.replica_sets:
             try:

@@ -100,7 +100,7 @@ class ReplicaSet:
         nodes: the member :class:`ClusterNode` s; ``nodes[0]`` starts as
             primary and must own a durability directory.
         metrics: the cluster's shared
-            :class:`~repro.metrics.cluster.ClusterMetrics`.
+            :class:`~repro.metrics.registry.MetricsRegistry`.
         executor: shared thread pool for hedged read arms.
         breakers: ``{node_id: CircuitBreaker}`` shared with the monitor.
         hedge: hedge-delay policy (``None`` for defaults).
@@ -203,7 +203,7 @@ class ReplicaSet:
         missing an acked group.
         """
         candidates, acked = self._read_candidates()
-        hedge_delay = self.hedge.delay(self.metrics.read_latency)
+        hedge_delay = self.hedge.delay(self.metrics.latency("read_latency"))
 
         def arm(node: ClusterNode):
             start = time.perf_counter()
@@ -237,7 +237,7 @@ class ReplicaSet:
         launch_next()
         while pending:
             if deadline is not None and deadline.expired:
-                self.metrics.record_deadline_exceeded()
+                self.metrics.inc(deadline_exceeded=1)
                 deadline.check(f"shard {self.shard_id} read")
             # Until the hedge fires, wait only hedge_delay; after, wait
             # for whatever finishes first.
@@ -251,7 +251,7 @@ class ReplicaSet:
                 # hedge trigger (or deadline re-check on next loop)
                 if not hedged and launch_next():
                     hedged = True
-                    self.metrics.record_hedge(won=False)
+                    self.metrics.inc(hedged_reads=1)
                 elif launched >= len(candidates) and (
                     deadline is None or not hedged
                 ):
@@ -264,7 +264,7 @@ class ReplicaSet:
                     _, result, seconds = future.result()
                 except NODE_FAILURES as error:
                     self._breaker(node).record_failure()
-                    self.metrics.record_node_failure(node.node_id)
+                    self.metrics.inc_key("node_failures", node.node_id)
                     errors.append(f"{node.node_id}: {error}")
                     if not pending and not launch_next():
                         raise ClusterUnavailableError(
@@ -275,9 +275,9 @@ class ReplicaSet:
                     continue
                 self._breaker(node).record_success()
                 if hedged and node is not candidates[0]:
-                    # correct the provisional loss recorded at launch
-                    self.metrics.record_hedge_win()
-                self.metrics.record_shard_read(self.shard_id, seconds)
+                    self.metrics.inc(hedge_wins=1)
+                self.metrics.inc_key("shard_queries", self.shard_id)
+                self.metrics.observe("read_latency", seconds)
                 # a losing arm keeps running in the pool; its result is
                 # simply discarded (hedging never cancels)
                 return result
@@ -329,7 +329,7 @@ class ReplicaSet:
                     )
                     break
                 except NODE_FAILURES as error:
-                    self.metrics.record_node_failure(primary.node_id)
+                    self.metrics.inc_key("node_failures", primary.node_id)
                     self._breaker(primary).record_failure()
                     if attempt == 2:
                         raise ClusterUnavailableError(
@@ -345,7 +345,8 @@ class ReplicaSet:
                         seq = expected
                         break
             self._last_acked = max(self._last_acked, seq)
-            self.metrics.record_update(self.shard_id)
+            self.metrics.inc(updates_routed=1)
+            self.metrics.inc_key("shard_updates", self.shard_id)
             for replica in self.nodes:
                 if replica.is_primary or replica.dead or replica.lagging:
                     continue
@@ -356,12 +357,12 @@ class ReplicaSet:
                     )
                 except NODE_FAILURES:
                     replica.lagging = True
-                    self.metrics.record_replica_lag(replica.node_id)
+                    self.metrics.inc_key("replica_lags", replica.node_id)
                     continue
                 if replica_seq != seq:
                     # missed an earlier forward: exact or excluded
                     replica.lagging = True
-                    self.metrics.record_replica_lag(replica.node_id)
+                    self.metrics.inc_key("replica_lags", replica.node_id)
             return seq
 
     def flush(self, timeout: Optional[float] = None) -> int:
@@ -376,7 +377,7 @@ class ReplicaSet:
                 replica.service.flush(timeout=timeout)
             except NODE_FAILURES:
                 replica.lagging = True
-                self.metrics.record_replica_lag(replica.node_id)
+                self.metrics.inc_key("replica_lags", replica.node_id)
         return version
 
     # -- failover and resync -------------------------------------------------
@@ -447,7 +448,7 @@ class ReplicaSet:
                 self._last_acked, recovered.last_submitted_seq
             )
             self._breaker(promoted).record_success()
-            self.metrics.record_failover(self.shard_id)
+            self.metrics.inc_key("failovers", self.shard_id)
             return promoted
 
     def resync(self, node: ClusterNode) -> ClusterNode:
@@ -478,7 +479,7 @@ class ReplicaSet:
             )
             node.lagging = False
             node.dead = False
-            self.metrics.record_resync(node.node_id)
+            self.metrics.inc_key("replica_resyncs", node.node_id)
             return node
 
     def __repr__(self) -> str:

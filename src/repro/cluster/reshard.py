@@ -125,7 +125,7 @@ class Migration:
             if shard_index in self.source_shards:
                 try:
                     self.mirror_to_targets(shard_index, local_updates)
-                    cluster.metrics.record_dual_write()
+                    cluster.metrics.inc(dual_writes=1)
                 except Exception as error:  # noqa: BLE001 - poisons the
                     # migration, never the client's (already durable) ack
                     self.failed = error
@@ -133,7 +133,7 @@ class Migration:
             if shard_index in self.target_new_indices:
                 try:
                     self.mirror_to_sources(shard_index, local_updates)
-                    cluster.metrics.record_dual_write()
+                    cluster.metrics.inc(dual_writes=1)
                 except Exception:  # noqa: BLE001 - the old copy is now
                     # incomplete: rollback would lose this acked group
                     self.rollback_unsafe = True
@@ -265,7 +265,7 @@ class ReshardCoordinator:
     def _phase(self, migration: Migration, name: str) -> None:
         migration.phase = name
         self.phases_entered.append(name)
-        self.cluster.metrics.record_reshard_phase(name)
+        self.cluster.metrics.inc_key("reshard_phases", name)
         if self.phase_hook is not None:
             self.phase_hook(name)
         faults = self.cluster.faults
@@ -276,7 +276,7 @@ class ReshardCoordinator:
 
     def _execute(self, migration: Migration) -> Dict:
         cluster = self.cluster
-        cluster.metrics.record_reshard_started()
+        cluster.metrics.inc(reshards_started=1)
         try:
             self._phase(migration, "plan")
             with cluster._topology:
@@ -502,7 +502,7 @@ class ReshardCoordinator:
             migration.mode = Migration.MODE_REVERSE
             cluster.shardmap = migration.new_map
             cluster.replica_sets = new_sets
-            cluster.metrics.record_reshard_flip()
+            cluster.metrics.inc(reshard_flips=1)
 
     def _retire(self, migration: Migration) -> None:
         cluster = self.cluster
@@ -546,7 +546,7 @@ class ReshardCoordinator:
             migration.mode = Migration.MODE_OFF
         self._dispose_targets(migration)
         self._cleanup_scratch(migration)
-        cluster.metrics.record_reshard_rollback()
+        cluster.metrics.inc(reshard_rollbacks=1)
 
     def _rollback_post_flip(self, migration: Migration) -> None:
         """Restore the saved topology; the reverse mirror kept the old
@@ -578,7 +578,7 @@ class ReshardCoordinator:
             cluster.aggregates.rebuild(arrays)
         self._dispose_targets(migration)
         self._cleanup_scratch(migration)
-        cluster.metrics.record_reshard_rollback()
+        cluster.metrics.inc(reshard_rollbacks=1)
 
 
 __all__ = ["Migration", "PHASES", "ReshardCoordinator"]

@@ -163,13 +163,13 @@ class AntiEntropyScrubber:
                     version, digest = node.snapshot_digest()
                 except NODE_FAILURES:
                     node.lagging = True
-                    metrics.record_replica_lag(node.node_id)
+                    metrics.inc_key("replica_lags", node.node_id)
                     continue
                 report["checks"] += 1
                 if version == primary_version and digest == primary_digest:
                     continue
                 report["divergences"] += 1
-                metrics.record_scrub_divergence()
+                metrics.inc(scrub_divergences=1)
                 repaired = False
                 try:
                     check = node.self_check(
@@ -197,8 +197,8 @@ class AntiEntropyScrubber:
                         )
                         continue
                 report["repairs"] += 1
-                metrics.record_scrub_repair()
-        metrics.record_scrub_round(report["checks"])
+                metrics.inc(scrub_repairs=1)
+        metrics.inc(scrub_rounds=1, scrub_digest_checks=report["checks"])
         return report
 
     #: relative tolerance for the slab comparison fallback. The seeded

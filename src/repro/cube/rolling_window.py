@@ -26,6 +26,49 @@ from repro.core.rps import RelativePrefixSumCube
 from repro.errors import RangeError, SchemaError
 
 
+def oldest_slot(newest_slot: int, window: int) -> int:
+    """Oldest logical slot still inside a ``window``-slot window."""
+    return max(0, newest_slot - window + 1)
+
+
+def check_slot(slot: int, newest_slot: int, window: int) -> None:
+    """Raise :class:`RangeError` unless ``slot`` is inside the window."""
+    oldest = oldest_slot(newest_slot, window)
+    if slot < oldest or slot > newest_slot:
+        raise RangeError(
+            f"slot {slot} outside the current window "
+            f"[{oldest}, {newest_slot}]"
+        )
+
+
+def physical_ranges(first: int, last: int, window: int):
+    """Map a logical slot range to 1 or 2 contiguous physical ranges."""
+    p_first = first % window
+    p_last = last % window
+    if last - first + 1 >= window:
+        return [(0, window - 1)]
+    if p_first <= p_last:
+        return [(p_first, p_last)]
+    return [(p_first, window - 1), (0, p_last)]
+
+
+def zeroing_updates(
+    slab: np.ndarray, physical: int
+) -> List[Tuple[Tuple[int, ...], float]]:
+    """The updates that expire physical slice ``physical``: one negating
+    delta per nonzero cell of its ``slab`` (empty when already zero).
+
+    The slab comes from one reconstruction pass (a ``to_array`` slice),
+    not a ``cell_value`` per cell, so only nonzero cells cost an update.
+    """
+    slab = np.asarray(slab)
+    nonzero = np.nonzero(slab)
+    return [
+        ((physical,) + tuple(int(c) for c in cell), -value)
+        for cell, value in zip(np.column_stack(nonzero), slab[nonzero])
+    ]
+
+
 class RollingWindowEngine:
     """A cube whose leading axis is a circular window of time slots.
 
@@ -64,7 +107,7 @@ class RollingWindowEngine:
     @property
     def oldest_slot(self) -> int:
         """Oldest logical slot still inside the window."""
-        return max(0, self.newest_slot - self.window + 1)
+        return oldest_slot(self.newest_slot, self.window)
 
     @property
     def backend(self) -> RangeSumMethod:
@@ -88,25 +131,12 @@ class RollingWindowEngine:
         for _ in range(slots):
             self.newest_slot += 1
             physical = self.newest_slot % self.window
-            self._zero_physical_slice(physical)
+            updates = zeroing_updates(
+                self._method.to_array()[physical], physical
+            )
+            if updates:
+                self._method.apply_batch(updates)
         return self.newest_slot
-
-    def _zero_physical_slice(self, physical: int) -> None:
-        # read the slab in one reconstruction pass instead of a
-        # cell_value per cell: one prefix-sum-shaped O(slab) numpy
-        # slice, then deltas only for the nonzero cells
-        slab = np.asarray(self._method.to_array()[physical])
-        nonzero = np.nonzero(slab)
-        if nonzero[0].size == 0:
-            return
-        cells = np.column_stack(nonzero)
-        updates: List[Tuple[Tuple[int, ...], float]] = [
-            ((physical,) + tuple(int(c) for c in cell),
-             -float(slab[tuple(cell)]))
-            for cell in cells
-        ]
-        if updates:
-            self._method.apply_batch(updates)
 
     # -- ingest -----------------------------------------------------------------
 
@@ -118,7 +148,7 @@ class RollingWindowEngine:
         """
         if slot > self.newest_slot:
             self.advance(slot - self.newest_slot)
-        self._check_slot(slot)
+        check_slot(slot, self.newest_slot, self.window)
         physical = slot % self.window
         self._method.apply_delta((physical,) + tuple(cell), amount)
 
@@ -137,8 +167,8 @@ class RollingWindowEngine:
         omitted). The logical range maps to at most two physical ranges
         when the window wraps.
         """
-        self._check_slot(first_slot)
-        self._check_slot(last_slot)
+        check_slot(first_slot, self.newest_slot, self.window)
+        check_slot(last_slot, self.newest_slot, self.window)
         if first_slot > last_slot:
             raise RangeError(
                 f"inverted slot range [{first_slot}, {last_slot}]"
@@ -150,8 +180,8 @@ class RollingWindowEngine:
             n - 1 for n in self.slot_shape
         )
         total = 0.0
-        for phys_low, phys_high in self._physical_ranges(
-            first_slot, last_slot
+        for phys_low, phys_high in physical_ranges(
+            first_slot, last_slot, self.window
         ):
             total += float(
                 self._method.range_sum(
@@ -171,23 +201,6 @@ class RollingWindowEngine:
             raise RangeError(f"need at least one slot, got {slots}")
         first = max(self.oldest_slot, self.newest_slot - slots + 1)
         return self.window_sum(first, self.newest_slot, low, high)
-
-    def _physical_ranges(self, first: int, last: int):
-        """Map a logical slot range to 1 or 2 contiguous physical ranges."""
-        p_first = first % self.window
-        p_last = last % self.window
-        if last - first + 1 >= self.window:
-            return [(0, self.window - 1)]
-        if p_first <= p_last:
-            return [(p_first, p_last)]
-        return [(p_first, self.window - 1), (0, p_last)]
-
-    def _check_slot(self, slot: int) -> None:
-        if slot < self.oldest_slot or slot > self.newest_slot:
-            raise RangeError(
-                f"slot {slot} outside the current window "
-                f"[{self.oldest_slot}, {self.newest_slot}]"
-            )
 
     def __repr__(self) -> str:
         return (

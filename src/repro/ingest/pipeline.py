@@ -55,7 +55,7 @@ from repro.errors import (
 )
 from repro.ingest.checkpoint import CheckpointStore
 from repro.ingest.deadletter import DeadLetterFile
-from repro.metrics.ingest import IngestMetrics
+from repro.metrics.registry import MetricsRegistry
 
 #: one buffered encoded row: (source offset, cell coords, delta,
 #: original record — kept so a row expired by its own group's roll can
@@ -155,7 +155,17 @@ class IngestPipeline:
         self.queue_depth_low = int(queue_depth_low)
         self.queue_depth_high = int(queue_depth_high)
         self.faults = fault_plan
-        self.metrics = IngestMetrics()
+        # quarantine_reasons counts rows per reason: the dead-letter
+        # file is the record, these counters are the dashboard
+        self.metrics = MetricsRegistry(
+            counters=(
+                "rows_read", "rows_applied", "rows_quarantined",
+                "chunks_read", "groups_submitted", "cells_submitted",
+                "fence_skips", "partial_resubmits", "resumes",
+                "overload_backoffs", "rolls",
+            ),
+            keyed=("quarantine_reasons",),
+        )
 
     # -- stage boundary hook -------------------------------------------------
 
@@ -177,7 +187,7 @@ class IngestPipeline:
         buf_start = buf_end = offset
         for chunk_offset, records in self.source.chunks(offset):
             self._boundary("chunk")
-            self.metrics.record_chunk(len(records))
+            self.metrics.inc(chunks_read=1, rows_read=len(records))
             buffer.extend(self._encode_chunk(chunk_offset, records))
             self._boundary("encode")
             buf_end = chunk_offset + len(records)
@@ -203,7 +213,7 @@ class IngestPipeline:
             # count every row this pass re-quarantines
             self.deadletter.truncate_from(0)
             return 0
-        self.metrics.record_resume()
+        self.metrics.inc(resumes=1)
         self.target.restore(state.get("target_state", {}))
         pending = state.get("pending")
         if pending is None:
@@ -216,7 +226,7 @@ class IngestPipeline:
             # the in-flight group committed before the crash: its rows
             # and dead letters are fully accounted for — skip them
             self.target.restore(pending.get("target_state", {}))
-            self.metrics.record_fence_skip()
+            self.metrics.inc(fence_skips=1)
             self.checkpoint.save(self._committed_state(end))
             self.deadletter.truncate_from(end)
             return end
@@ -230,7 +240,7 @@ class IngestPipeline:
         # partial (cluster): some shards hold the group, some do not.
         # Re-read exactly the intended rows, re-encode (deterministic),
         # and resubmit only the missing shards' sub-updates.
-        self.metrics.record_partial_resubmit()
+        self.metrics.inc(partial_resubmits=1)
         self.deadletter.truncate_from(start)
         rows = self._reencode_range(start, end, pending)
         pairs = _coalesce(rows)
@@ -258,7 +268,8 @@ class IngestPipeline:
 
     def _quarantine(self, offset: int, reason: str, error, record) -> None:
         self.deadletter.append(offset, reason, str(error), record)
-        self.metrics.record_quarantine(reason)
+        self.metrics.inc(rows_quarantined=1)
+        self.metrics.inc_key("quarantine_reasons", reason)
 
     def _encode_chunk(self, chunk_offset: int, records) -> List[Row]:
         rows: List[Row] = []
@@ -334,7 +345,7 @@ class IngestPipeline:
                 )
             )
             if before is not None and before.newest_slot != newest_before:
-                self.metrics.record_roll(before.newest_slot - newest_before)
+                self.metrics.inc(rolls=before.newest_slot - newest_before)
             self._boundary("roll")
             admitted: List[Row] = []
             for offset, coords, delta, record in rows:
@@ -365,7 +376,7 @@ class IngestPipeline:
             })
             self._boundary("intent")
             self._submit_with_backpressure(pairs, expect)
-            self.metrics.record_applied(len(rows))
+            self.metrics.inc(rows_applied=len(rows))
             self._boundary("submit")
         self.checkpoint.save(self._committed_state(end))
         self._boundary("checkpoint")
@@ -377,7 +388,7 @@ class IngestPipeline:
                 pairs, expect, timeout=self.submit_timeout
             )
         )
-        self.metrics.record_group(len(pairs))
+        self.metrics.inc(groups_submitted=1, cells_submitted=len(pairs))
 
     def _retry_on_overload(self, operation) -> None:
         """Run ``operation`` under the overload backoff: each rejection
@@ -391,7 +402,7 @@ class IngestPipeline:
                 operation()
                 return
             except ServiceOverloadedError:
-                self.metrics.record_overload()
+                self.metrics.inc(overload_backoffs=1)
                 self.group_rows = max(
                     self.min_group_rows, self.group_rows // 2
                 )

@@ -35,6 +35,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.cluster.degraded import RangeEstimate
+from repro.cube.rolling_window import (
+    check_slot,
+    oldest_slot,
+    physical_ranges,
+    zeroing_updates,
+)
 from repro.errors import RangeError
 
 WindowAnswer = Union[float, RangeEstimate]
@@ -79,7 +85,7 @@ class RollingCubeService:
     @property
     def oldest_slot(self) -> int:
         """Oldest logical slot still inside the window."""
-        return max(0, self.newest_slot - self.window + 1)
+        return oldest_slot(self.newest_slot, self.window)
 
     def _prune(self, version: int) -> None:
         for seq in [s for s in self._pending if s <= version]:
@@ -93,14 +99,16 @@ class RollingCubeService:
 
         Each reused physical slice is zeroed by one atomic group built
         from the published snapshot (flushed first, so the snapshot is
-        current). Zeroing an already-empty slice submits nothing, which
-        makes a crash-resume re-advance a no-op — the property the
-        ingest fence relies on. ``newest_slot`` moves only after the
-        slice's zeroing group is acked, so a
-        :class:`~repro.errors.ServiceOverloadedError` from the bounded
-        queue leaves the window where it was and a backed-off retry
-        redoes the slot from the snapshot — never opening a slot over a
-        still-dirty slab.
+        current). ``timeout`` bounds only each zeroing group's wait for
+        queue space; the flush waits out the writer's whole backlog,
+        however long one slow apply or fsync takes. Zeroing an
+        already-empty slice submits nothing, which makes a crash-resume
+        re-advance a no-op — the property the ingest fence relies on.
+        ``newest_slot`` moves only after the slice's zeroing group is
+        acked, so a :class:`~repro.errors.ServiceOverloadedError` from
+        the bounded queue leaves the window where it was and a
+        backed-off retry redoes the slot from the snapshot — never
+        opening a slot over a still-dirty slab.
 
         Returns the new newest logical slot.
         """
@@ -110,17 +118,11 @@ class RollingCubeService:
             for _ in range(int(slots)):
                 opening = self.newest_slot + 1
                 physical = opening % self.window
-                self.service.flush(timeout=timeout)
+                self.service.flush()
                 array, _ = self.service.snapshot_array()
                 slab = np.asarray(array[physical])
-                nonzero = np.nonzero(slab)
-                if nonzero[0].size:
-                    cells = np.column_stack(nonzero)
-                    updates = [
-                        ((physical,) + tuple(int(c) for c in cell),
-                         -slab[tuple(cell)])
-                        for cell in cells
-                    ]
+                updates = zeroing_updates(slab, physical)
+                if updates:
                     seq = self.service.submit_batch(
                         updates, timeout=timeout
                     )
@@ -156,7 +158,7 @@ class RollingCubeService:
             masses: Dict[int, List[float]] = {}
             for coords, delta in updates:
                 slot = int(coords[0])
-                self._check_slot(slot)
+                check_slot(slot, self.newest_slot, self.window)
                 physical_updates.append(
                     ((slot % self.window,) + tuple(
                         int(c) for c in coords[1:]
@@ -203,8 +205,8 @@ class RollingCubeService:
         :class:`~repro.cluster.degraded.RangeEstimate` bounding the
         true acked sum — explicitly marked, never silently stale.
         """
-        self._check_slot(first_slot)
-        self._check_slot(last_slot)
+        check_slot(first_slot, self.newest_slot, self.window)
+        check_slot(last_slot, self.newest_slot, self.window)
         if first_slot > last_slot:
             raise RangeError(
                 f"inverted slot range [{first_slot}, {last_slot}]"
@@ -216,7 +218,7 @@ class RollingCubeService:
             n - 1 for n in self.slot_shape
         )
         lows, highs = [], []
-        for p_lo, p_hi in self._physical_ranges(first_slot, last_slot):
+        for p_lo, p_hi in physical_ranges(first_slot, last_slot, self.window):
             lows.append((p_lo,) + low)
             highs.append((p_hi,) + high)
         values, version = self.service.query_many(lows, highs)
@@ -259,23 +261,6 @@ class RollingCubeService:
         with self._lock:
             self._prune(self.service.version)
         return applied
-
-    def _physical_ranges(self, first: int, last: int):
-        """Map a logical slot range to 1 or 2 contiguous physical ones."""
-        p_first = first % self.window
-        p_last = last % self.window
-        if last - first + 1 >= self.window:
-            return [(0, self.window - 1)]
-        if p_first <= p_last:
-            return [(p_first, p_last)]
-        return [(p_first, self.window - 1), (0, p_last)]
-
-    def _check_slot(self, slot: int) -> None:
-        if slot < self.oldest_slot or slot > self.newest_slot:
-            raise RangeError(
-                f"slot {slot} outside the current window "
-                f"[{self.oldest_slot}, {self.newest_slot}]"
-            )
 
     def __repr__(self) -> str:
         return (

@@ -1,22 +1,17 @@
 """Cost instrumentation and the paper's analytic complexity models."""
 
-from repro.metrics.cluster import ClusterMetrics
 from repro.metrics.counters import AccessCounter, CounterSnapshot, measured
-from repro.metrics.ingest import IngestMetrics
 from repro.metrics.net import NetMetrics
 from repro.metrics.profile import characterize, render_profile
-from repro.metrics.router import RouterMetrics
-from repro.metrics.service import LatencyRecorder, ServiceMetrics
+from repro.metrics.registry import MetricsRegistry
+from repro.metrics.service import LatencyRecorder
 
 __all__ = [
     "AccessCounter",
-    "ClusterMetrics",
     "CounterSnapshot",
-    "IngestMetrics",
     "LatencyRecorder",
+    "MetricsRegistry",
     "NetMetrics",
-    "RouterMetrics",
-    "ServiceMetrics",
     "characterize",
     "measured",
     "render_profile",

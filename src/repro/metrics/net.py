@@ -1,11 +1,11 @@
 """Request counters for the network serving tier.
 
-:class:`NetMetrics` tallies what the :mod:`repro.net` server does at the
-socket boundary — connections, per-op request counts and latencies,
-bytes moved, and every rejection class the wire protocol documents
-(auth failures, quota refusals, admission-control overloads, deadline
-expiries, protocol errors) — thread-safely, in the same plain-dict
-:meth:`NetMetrics.snapshot` idiom as the other metrics classes.
+:class:`NetMetrics` is the :class:`~repro.metrics.registry.MetricsRegistry`
+of one :mod:`repro.net` server: connections, per-op request counts and
+latencies, bytes moved, and every error response by wire code. The
+rejection classes the wire protocol documents (auth failures, quota
+refusals, admission-control overloads, deadline expiries, protocol
+errors) are derived from the per-code table at snapshot time.
 
 Rejections are deliberately first-class: for a serving tier the
 operational question is rarely "how fast are the 200s" and usually
@@ -14,120 +14,71 @@ operational question is rarely "how fast are the 200s" and usually
 
 from __future__ import annotations
 
-import threading
 from typing import Dict
 
-from repro.metrics.service import LatencyRecorder
+from repro.metrics.registry import MetricsRegistry
+
+#: snapshot key -> the wire error codes it counts
+REJECT_CLASSES = {
+    "auth_rejects": ("auth_failed",),
+    "quota_rejects": ("quota_exceeded",),
+    "overload_rejects": ("overloaded",),
+    "deadline_rejects": ("deadline_exceeded",),
+    "protocol_errors": ("bad_request", "payload_too_large"),
+}
 
 
-class NetMetrics:
+class NetMetrics(MetricsRegistry):
     """Counters for one :class:`~repro.net.server.CubeServer`.
 
-    Attributes:
-        request_latency: per-request durations across every op,
-            accept-to-last-byte (streaming ops count once, at the final
-            chunk).
+    ``request_latency`` holds per-request durations across every op,
+    accept-to-last-byte (streaming ops count once, at the final chunk).
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.request_latency = LatencyRecorder()
-        self.connections_opened = 0
-        self.connections_closed = 0
-        self.requests = 0
-        self.requests_by_op: Dict[str, int] = {}
-        self.errors_by_code: Dict[str, int] = {}
-        self.bytes_in = 0
-        self.bytes_out = 0
-        self.stream_chunks = 0
-        # rejection classes (each is also counted in errors_by_code)
-        self.auth_rejects = 0
-        self.quota_rejects = 0
-        self.overload_rejects = 0
-        self.deadline_rejects = 0
-        self.protocol_errors = 0
-        # admission-control gauge
-        self.inflight = 0
-        self.inflight_peak = 0
+        super().__init__(
+            counters=(
+                "connections_opened", "connections_closed", "bytes_in",
+                "bytes_out", "stream_chunks", "inflight", "inflight_peak",
+            ),
+            keyed=("requests_by_op", "errors_by_code"),
+            latencies=("request_latency",),
+        )
 
-    # -- recording (called by the server) ------------------------------------
-
-    def record_connection_opened(self) -> None:
-        with self._lock:
-            self.connections_opened += 1
-
-    def record_connection_closed(self) -> None:
-        with self._lock:
-            self.connections_closed += 1
+    def record_bytes(self, inbound: int = 0, outbound: int = 0) -> None:
+        """Frame bytes read from / written to a connection."""
+        self.inc(bytes_in=inbound, bytes_out=outbound)
 
     def record_request(self, op: str, seconds: float) -> None:
         """One completed request (success or failure) for ``op``."""
-        with self._lock:
-            self.requests += 1
-            self.requests_by_op[op] = self.requests_by_op.get(op, 0) + 1
-        self.request_latency.record(seconds)
-
-    def record_error(self, code: str) -> None:
-        """One error response sent with wire ``code``."""
-        with self._lock:
-            self.errors_by_code[code] = self.errors_by_code.get(code, 0) + 1
-            if code == "auth_failed":
-                self.auth_rejects += 1
-            elif code == "quota_exceeded":
-                self.quota_rejects += 1
-            elif code == "overloaded":
-                self.overload_rejects += 1
-            elif code == "deadline_exceeded":
-                self.deadline_rejects += 1
-            elif code in ("bad_request", "payload_too_large"):
-                self.protocol_errors += 1
-
-    def record_bytes(self, inbound: int = 0, outbound: int = 0) -> None:
-        with self._lock:
-            self.bytes_in += int(inbound)
-            self.bytes_out += int(outbound)
-
-    def record_stream_chunk(self) -> None:
-        with self._lock:
-            self.stream_chunks += 1
+        self.inc_key("requests_by_op", op)
+        self.observe("request_latency", seconds)
 
     def inflight_enter(self) -> None:
         with self._lock:
-            self.inflight += 1
-            if self.inflight > self.inflight_peak:
-                self.inflight_peak = self.inflight
+            counters = self._counters
+            counters["inflight"] += 1
+            if counters["inflight"] > counters["inflight_peak"]:
+                counters["inflight_peak"] = counters["inflight"]
 
     def inflight_exit(self) -> None:
-        with self._lock:
-            self.inflight -= 1
-
-    # -- reporting -----------------------------------------------------------
+        self.inc(inflight=-1)
 
     def snapshot(self) -> Dict:
-        """All tallies plus the request latency summary, one plain dict."""
-        with self._lock:
-            errors = sum(self.errors_by_code.values())
-            counts = {
-                "connections_opened": self.connections_opened,
-                "connections_closed": self.connections_closed,
-                "connections_active": (
-                    self.connections_opened - self.connections_closed
-                ),
-                "requests": self.requests,
-                "requests_by_op": dict(self.requests_by_op),
-                "errors": errors,
-                "errors_by_code": dict(self.errors_by_code),
-                "error_rate": errors / self.requests if self.requests else 0.0,
-                "bytes_in": self.bytes_in,
-                "bytes_out": self.bytes_out,
-                "stream_chunks": self.stream_chunks,
-                "auth_rejects": self.auth_rejects,
-                "quota_rejects": self.quota_rejects,
-                "overload_rejects": self.overload_rejects,
-                "deadline_rejects": self.deadline_rejects,
-                "protocol_errors": self.protocol_errors,
-                "inflight": self.inflight,
-                "inflight_peak": self.inflight_peak,
-            }
-        counts["request_latency"] = self.request_latency.summary()
-        return counts
+        """All tallies plus the totals and rejection classes derived
+        from them, one plain dict."""
+        report = super().snapshot()
+        by_code = report["errors_by_code"]
+        requests = sum(report["requests_by_op"].values())
+        errors = sum(by_code.values())
+        report.update(
+            connections_active=(
+                report["connections_opened"] - report["connections_closed"]
+            ),
+            requests=requests,
+            errors=errors,
+            error_rate=errors / requests if requests else 0.0,
+        )
+        for key, codes in REJECT_CLASSES.items():
+            report[key] = sum(by_code.get(code, 0) for code in codes)
+        return report

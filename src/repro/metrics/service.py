@@ -1,12 +1,11 @@
-"""Latency and throughput instrumentation for the serving layer.
+"""Latency instrumentation for the serving layer.
 
 The :class:`~repro.metrics.counters.AccessCounter` family measures the
 paper's unit — logical cells touched. A serving process needs the
-operational complement: how long reads and batch applications take, how
-many of them happened, and where the tail is. :class:`LatencyRecorder`
-and :class:`ServiceMetrics` provide that, thread-safely, for
-:class:`repro.serve.CubeService`; nothing here is specific to serving,
-so other drivers (the CLI, benchmarks) can reuse them.
+operational complement: how long reads and batch applications take and
+where the tail is. :class:`LatencyRecorder` provides that, thread-safely;
+it is the histogram kind of :class:`~repro.metrics.registry.MetricsRegistry`
+and nothing in it is specific to serving.
 """
 
 from __future__ import annotations
@@ -72,166 +71,3 @@ class LatencyRecorder:
             "max_s": high,
             "total_s": total,
         }
-
-
-class ServiceMetrics:
-    """Operational counters for one :class:`~repro.serve.CubeService`.
-
-    Attributes:
-        read_latency: per read-call durations (one call may carry a
-            whole query batch).
-        apply_latency: per writer-cycle durations: coalesce + apply +
-            swap + back-buffer catch-up.
-        swap_wait: time the writer spent waiting for in-flight readers
-            to drain off the retiring snapshot.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.read_latency = LatencyRecorder()
-        self.apply_latency = LatencyRecorder()
-        self.swap_wait = LatencyRecorder()
-        self.read_calls = 0
-        self.queries_served = 0
-        self.updates_submitted = 0
-        self.updates_applied = 0
-        self.updates_coalesced = 0
-        self.batches_applied = 0
-        self.swaps = 0
-        # failure visibility: each counter names a distinct bad day
-        self.reader_retries = 0
-        self.writer_errors = 0
-        self.groups_quarantined = 0
-        self.rebuilds = 0
-        # durability path
-        self.wal_appends = 0
-        self.wal_bytes = 0
-        self.wal_fsyncs = 0
-        self.wal_failures = 0
-        self.checkpoints_written = 0
-        self.recovery_replays = 0
-
-    # -- recording (called by the service) ----------------------------------
-
-    def record_read(self, seconds: float, queries: int) -> None:
-        """One reader call serving ``queries`` range/prefix queries."""
-        with self._lock:
-            self.read_calls += 1
-            self.queries_served += int(queries)
-        self.read_latency.record(seconds)
-
-    def record_submit(self, updates: int) -> None:
-        """``updates`` deltas entered the write queue."""
-        with self._lock:
-            self.updates_submitted += int(updates)
-
-    def record_apply_counts(self, submitted: int, applied: int) -> None:
-        """One writer cycle's tallies: ``submitted`` queued deltas
-        coalesced down to ``applied`` distinct-cell deltas.
-
-        Recorded the moment the cycle's snapshot is published (before the
-        retired buffer is caught up), so a ``flush()``-then-``stats()``
-        sequence observes the counts of every cycle it waited for.
-        """
-        with self._lock:
-            self.batches_applied += 1
-            self.swaps += 1
-            self.updates_applied += int(applied)
-            self.updates_coalesced += int(submitted) - int(applied)
-
-    def record_reader_retry(self) -> None:
-        """A reader lost the snapshot race in ``_acquire`` and retried."""
-        with self._lock:
-            self.reader_retries += 1
-
-    def record_writer_error(self) -> None:
-        """The writer caught an exception (supervised or fatal)."""
-        with self._lock:
-            self.writer_errors += 1
-
-    def record_quarantine(self, groups: int = 1) -> None:
-        """``groups`` poisoned update groups were skipped, not applied."""
-        with self._lock:
-            self.groups_quarantined += int(groups)
-
-    def record_rebuild(self) -> None:
-        """A buffer pair was rebuilt from scratch (supervision or
-        ``self_check`` repair)."""
-        with self._lock:
-            self.rebuilds += 1
-
-    def record_wal_append(self, nbytes: int, fsynced: bool) -> None:
-        """One WAL record hit the disk (``fsynced`` if it was synced)."""
-        with self._lock:
-            self.wal_appends += 1
-            self.wal_bytes += int(nbytes)
-            if fsynced:
-                self.wal_fsyncs += 1
-
-    def record_wal_fsync(self) -> None:
-        """One group-commit fsync made pending WAL records durable."""
-        with self._lock:
-            self.wal_fsyncs += 1
-
-    def record_wal_failure(self) -> None:
-        """The WAL was poisoned (injected fault or real I/O error)."""
-        with self._lock:
-            self.wal_failures += 1
-
-    def record_checkpoint(self) -> None:
-        """One checkpoint snapshot was written."""
-        with self._lock:
-            self.checkpoints_written += 1
-
-    def record_recovery_replay(self, groups: int) -> None:
-        """``groups`` committed WAL groups were replayed at recovery."""
-        with self._lock:
-            self.recovery_replays += int(groups)
-
-    def record_apply_latency(
-        self, seconds: float, swap_wait_seconds: float
-    ) -> None:
-        """One writer cycle's durations, recorded when the cycle ends."""
-        self.apply_latency.record(seconds)
-        self.swap_wait.record(swap_wait_seconds)
-
-    def record_apply(
-        self,
-        seconds: float,
-        submitted: int,
-        applied: int,
-        swap_wait_seconds: float,
-    ) -> None:
-        """One writer cycle, counts and durations in one call (kept for
-        drivers that measure a whole cycle after the fact)."""
-        self.record_apply_counts(submitted, applied)
-        self.record_apply_latency(seconds, swap_wait_seconds)
-
-    # -- reporting -----------------------------------------------------------
-
-    def snapshot(self) -> Dict:
-        """All tallies and latency summaries as one plain dict."""
-        with self._lock:
-            counts = {
-                "read_calls": self.read_calls,
-                "queries_served": self.queries_served,
-                "updates_submitted": self.updates_submitted,
-                "updates_applied": self.updates_applied,
-                "updates_coalesced": self.updates_coalesced,
-                "batches_applied": self.batches_applied,
-                "swaps": self.swaps,
-                "reader_retries": self.reader_retries,
-                "writer_errors": self.writer_errors,
-                "groups_quarantined": self.groups_quarantined,
-                "rebuilds": self.rebuilds,
-                "wal_appends": self.wal_appends,
-                "wal_bytes": self.wal_bytes,
-                "wal_fsyncs": self.wal_fsyncs,
-                "wal_failures": self.wal_failures,
-                "checkpoints_written": self.checkpoints_written,
-                "recovery_replays": self.recovery_replays,
-            }
-        counts["read_latency"] = self.read_latency.summary()
-        counts["apply_latency"] = self.apply_latency.summary()
-        counts["swap_wait"] = self.swap_wait.summary()
-        return counts

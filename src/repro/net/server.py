@@ -332,14 +332,14 @@ class CubeServer:
     ) -> None:
         task = asyncio.current_task()
         self._connections.add(task)
-        self.metrics.record_connection_opened()
+        self.metrics.inc(connections_opened=1)
         try:
             await self._serve_connection(reader, writer)
         except (asyncio.CancelledError, ConnectionError):
             pass
         finally:
             self._connections.discard(task)
-            self.metrics.record_connection_closed()
+            self.metrics.inc(connections_closed=1)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -357,11 +357,11 @@ class CubeServer:
             except ProtocolError as error:
                 # framing is unrecoverable (an oversized prefix leaves
                 # the body unread): answer once, then hang up
+                payload = error_payload(error)
                 await self._send(
-                    writer,
-                    {"id": None, "ok": False, "error": error_payload(error)},
+                    writer, {"id": None, "ok": False, "error": payload}
                 )
-                self.metrics.record_error(error_payload(error)["code"])
+                self.metrics.inc_key("errors_by_code", payload["code"])
                 return
             if request is None:
                 return  # clean EOF
@@ -399,7 +399,7 @@ class CubeServer:
                 self._exit_inflight()
         except Exception as error:  # noqa: BLE001 - mapped to wire error
             payload = error_payload(error)
-            self.metrics.record_error(payload["code"])
+            self.metrics.inc_key("errors_by_code", payload["code"])
             try:
                 await self._send(
                     writer,
@@ -584,7 +584,7 @@ class CubeServer:
                 values, stamp = [], self.backend.current_stamp()
             sent += len(values)
             final = sent >= total
-            self.metrics.record_stream_chunk()
+            self.metrics.inc(stream_chunks=1)
             await self._send(writer, {
                 "id": request_id, "ok": True, "stream": True,
                 "chunk": offset // chunk, "final": final,

@@ -29,6 +29,7 @@ from repro.routing.router import (
     QueryRouter,
     RoutedBatch,
     ServiceBackend,
+    TierMetrics,
     wrap_backend,
 )
 
@@ -47,6 +48,7 @@ __all__ = [
     "RollupCube",
     "RoutedBatch",
     "ServiceBackend",
+    "TierMetrics",
     "aligned_mask",
     "block_boxes",
     "default_granularities",

@@ -149,7 +149,9 @@ class RollupBuilder:
     Args:
         backend: any router backend (``query_many(lows, highs) ->
             (values, stamp)`` plus ``shape``).
-        metrics: the router's :class:`~repro.metrics.router.RouterMetrics`.
+        metrics: the router's registry (see
+            :class:`~repro.routing.router.TierMetrics`); the builder
+            bumps its ``rollup_*`` counters.
         max_rollups: most granularities kept published at once (the
             coarsest — smallest — survive a trim).
     """
@@ -205,7 +207,7 @@ class RollupBuilder:
         try:
             rollup = self._build(g)
         except Exception:
-            self._metrics.record_rollup_build_failure()
+            self._metrics.inc(rollup_build_failures=1)
             return None
         self._publish(rollup)
         return rollup
@@ -219,13 +221,14 @@ class RollupBuilder:
         return RollupCube(granularity, self._backend.shape, blocks, stamp)
 
     def _publish(self, rollup: RollupCube) -> None:
+        trimmed = 0
         with self._lock:
             self._published[rollup.granularity] = rollup
             while len(self._published) > self._max_rollups:
                 finest = min(self._published)
                 del self._published[finest]
-                self._metrics.record_rollup_discard()
-        self._metrics.record_rollup_built()
+                trimmed += 1
+        self._metrics.inc(rollup_builds=1, rollup_discards=trimmed)
 
     def discard_stale(self, stamp: Hashable) -> int:
         """Drop every published rollup whose stamp is not ``stamp``."""
@@ -238,9 +241,9 @@ class RollupBuilder:
             ]:
                 del self._published[g]
                 dropped += 1
-        for _ in range(dropped):
-            self._metrics.record_rollup_stale()
-            self._metrics.record_rollup_discard()
+        self._metrics.inc(
+            rollup_stale_rejects=dropped, rollup_discards=dropped
+        )
         return dropped
 
     def _loop(self) -> None:
@@ -253,7 +256,7 @@ class RollupBuilder:
             except Exception:
                 # degrade, never propagate: the router keeps answering
                 # from the RPS tier and the failure is visible in stats
-                self._metrics.record_rollup_build_failure()
+                self._metrics.inc(rollup_build_failures=1)
                 continue
             finally:
                 with self._lock:

@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.core import indexing
 from repro.deadline import Deadline
-from repro.metrics.router import RouterMetrics
+from repro.metrics.registry import MetricsRegistry
 from repro.routing.cache import HIT, MISS, STALE, ResultCache
 from repro.routing.hotness import HotPatternTracker
 from repro.routing.rollup import RollupBuilder
@@ -224,6 +224,43 @@ def wrap_backend(backend):
     return ServiceBackend(backend)
 
 
+class TierMetrics(MetricsRegistry):
+    """The router's registry: per-tier counters and latencies.
+
+    Units are individual box queries. A stale reject is an entry or
+    rollup found but refused because the snapshot version moved on
+    (each one is a precisely-invalidated write). ``route_latency`` times
+    whole routed calls (a call may carry a batch); ``backend_latency``
+    times the fallback reads that reached the RPS service/cluster.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(
+            counters=(
+                "queries_routed", "cache_hits", "batch_hits", "rollup_hits",
+                "backend_queries", "cache_stale_rejects",
+                "batch_stale_rejects", "rollup_stale_rejects",
+                "rollup_builds", "rollup_build_failures", "rollup_discards",
+                "deadline_exceeded",
+            ),
+            latencies=("route_latency", "backend_latency"),
+        )
+
+    def snapshot(self) -> Dict:
+        """All tallies plus each tier's share of the queries served."""
+        report = super().snapshot()
+        cached = report["cache_hits"] + report["batch_hits"]
+        served = cached + report["rollup_hits"] + report["backend_queries"]
+        report.update(
+            cache_hit_rate=cached / served if served else 0.0,
+            rollup_hit_rate=report["rollup_hits"] / served if served else 0.0,
+            backend_rate=(
+                report["backend_queries"] / served if served else 0.0
+            ),
+        )
+        return report
+
+
 class QueryRouter:
     """Route each box query cache -> rollup -> RPS, exactly.
 
@@ -239,7 +276,7 @@ class QueryRouter:
         auto_build: request background rollup builds for granularities
             the tracker reports hot (set False for deterministic tests
             and call :meth:`build_rollup` yourself).
-        metrics: a shared :class:`~repro.metrics.router.RouterMetrics`.
+        metrics: a shared :class:`TierMetrics`.
 
     Use as a context manager or call :meth:`close` (the backing
     service/cluster has its own lifecycle and is *not* closed)::
@@ -262,11 +299,11 @@ class QueryRouter:
         max_rollups: int = 4,
         per_box_cache_max_batch: int = PER_BOX_CACHE_MAX_BATCH,
         observe_every: int = 4,
-        metrics: Optional[RouterMetrics] = None,
+        metrics: Optional[TierMetrics] = None,
     ) -> None:
         self.backend = wrap_backend(backend)
         self.shape = self.backend.shape
-        self.metrics = metrics if metrics is not None else RouterMetrics()
+        self.metrics = metrics if metrics is not None else TierMetrics()
         self.enable_cache = bool(enable_cache)
         self.enable_rollup = bool(enable_rollup)
         self.auto_build = bool(auto_build)
@@ -312,7 +349,7 @@ class QueryRouter:
         """
         start = time.perf_counter()
         if deadline is not None and deadline.expired:
-            self.metrics.record_deadline_exceeded()
+            self.metrics.inc(deadline_exceeded=1)
             deadline.check("routed read")
         lows, highs = indexing.normalize_range_batch(
             lows, highs, self.shape
@@ -327,14 +364,16 @@ class QueryRouter:
             batch_key = ("batch", lows.tobytes(), highs.tobytes())
             status, value = self.cache.get(batch_key, stamp)
             if status is HIT:
-                self.metrics.record_batch_hit(q)
+                self.metrics.inc(batch_hits=q, queries_routed=q)
                 self._observe(lows, highs)
-                self.metrics.record_route(time.perf_counter() - start, q)
+                self.metrics.observe(
+                    "route_latency", time.perf_counter() - start
+                )
                 return RoutedBatch(
                     value, [stamp] * q, [TIER_CACHE] * q
                 )
             if status is STALE:
-                self.metrics.record_batch_stale()
+                self.metrics.inc(batch_stale_rejects=1)
 
         # each tier contributes (slots, values, stamp, tier); the batch
         # is assembled with vectorized fills at the end so a 10^4-box
@@ -362,10 +401,10 @@ class QueryRouter:
                         stale += 1
                     pending.append(i)
             pending = np.asarray(pending, dtype=np.intp)
-            if hit_slots:
-                self.metrics.record_cache_hits(len(hit_slots))
-            if stale:
-                self.metrics.record_cache_stale(stale)
+            if hit_slots or stale:
+                self.metrics.inc(
+                    cache_hits=len(hit_slots), cache_stale_rejects=stale
+                )
         else:
             pending = np.arange(q, dtype=np.intp)
 
@@ -394,8 +433,9 @@ class QueryRouter:
                 values, backend_stamp = self.backend.query_many(
                     lows[pending], highs[pending], deadline=deadline
                 )
-            self.metrics.record_backend_queries(
-                len(pending), time.perf_counter() - backend_start
+            self.metrics.inc(backend_queries=len(pending))
+            self.metrics.observe(
+                "backend_latency", time.perf_counter() - backend_start
             )
             values = np.asarray(values)
             filled.append((pending, values, backend_stamp, TIER_RPS))
@@ -442,7 +482,8 @@ class QueryRouter:
             if all(s == uniform for s in stamps):
                 self.cache.put(batch_key, uniform, out)
         self._observe(lows, highs)
-        self.metrics.record_route(time.perf_counter() - start, q)
+        self.metrics.inc(queries_routed=q)
+        self.metrics.observe("route_latency", time.perf_counter() - start)
         return RoutedBatch(out, stamps, tiers, estimates)
 
     def _serve_from_rollups(
@@ -473,7 +514,7 @@ class QueryRouter:
             served_total += len(covered)
             pending = pending[~mask]
         if served_total:
-            self.metrics.record_rollup_hits(served_total)
+            self.metrics.inc(rollup_hits=served_total)
         return pending
 
     def _observe(self, lows, highs) -> None:

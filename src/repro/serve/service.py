@@ -65,7 +65,7 @@ from repro.errors import (
     ReproError,
     ServiceOverloadedError,
 )
-from repro.metrics.service import ServiceMetrics
+from repro.metrics.registry import MetricsRegistry
 from repro.serve import wal as wal_mod
 from repro.serve.wal import DurabilityPolicy, WriteAheadLog
 
@@ -162,7 +162,23 @@ class CubeService:
         self._front = _Snapshot(method_cls(source, **kwargs), version=initial)
         self._back = method_cls(source, **kwargs)
         self.shape = self._front.method.shape
-        self.metrics = ServiceMetrics()
+        self.metrics = MetricsRegistry(
+            counters=(
+                "read_calls", "queries_served", "updates_submitted",
+                "updates_applied", "updates_coalesced", "batches_applied",
+                # failure visibility: each counter names a distinct bad day
+                "reader_retries", "writer_errors", "groups_quarantined",
+                "rebuilds",
+                # durability path
+                "wal_appends", "wal_bytes", "wal_fsyncs", "wal_failures",
+                "checkpoints_written", "recovery_replays",
+            ),
+            # read_latency: per read call (one call may carry a whole
+            # batch); apply_latency: per writer cycle (coalesce + apply
+            # + swap + back-buffer catch-up); swap_wait: the writer's
+            # wait for readers to drain off the retiring snapshot
+            latencies=("read_latency", "apply_latency", "swap_wait"),
+        )
         self._poll_seconds = float(poll_seconds)
         self._max_groups = int(max_groups_per_cycle)
         self._max_pending = (
@@ -221,7 +237,7 @@ class CubeService:
         # would silently restore foreign state. save_method's
         # write-temp-then-os.replace makes the overwrite crash-safe.
         wal_mod.write_checkpoint(self._front.method, policy.dir, initial)
-        self.metrics.record_checkpoint()
+        self.metrics.inc(checkpoints_written=1)
         self._last_checkpoint_seq = initial
         wal_mod.prune_checkpoints(policy.dir, policy.keep_checkpoints)
         wal_mod.prune_wal(policy.dir, self._wal, policy.keep_checkpoints)
@@ -243,7 +259,7 @@ class CubeService:
             if snap is self._front:
                 return snap
             self._release(snap)
-            self.metrics.record_reader_retry()
+            self.metrics.inc(reader_retries=1)
 
     def _release(self, snap: _Snapshot) -> None:
         with snap.cond:
@@ -265,6 +281,16 @@ class CubeService:
             self._release(snap)
         return result, version, time.perf_counter() - start
 
+    def _counted_read(self, fn, batch: bool = False):
+        """``(result, version)`` of :meth:`_read`, counted as one read
+        call serving ``len(result)`` queries if ``batch``, else one."""
+        result, version, seconds = self._read(fn)
+        self.metrics.inc(
+            read_calls=1, queries_served=len(result) if batch else 1
+        )
+        self.metrics.observe("read_latency", seconds)
+        return result, version
+
     def query_many(
         self, lows, highs
     ) -> Tuple[np.ndarray, int]:
@@ -274,11 +300,9 @@ class CubeService:
         mutually consistent, and ``version`` names the exact logical
         state (number of update groups applied).
         """
-        values, version, seconds = self._read(
-            lambda m: m.range_sum_many(lows, highs)
+        return self._counted_read(
+            lambda m: m.range_sum_many(lows, highs), batch=True
         )
-        self.metrics.record_read(seconds, len(values))
-        return values, version
 
     def range_sum_many(self, lows, highs) -> np.ndarray:
         """Batched range sums against one consistent snapshot."""
@@ -286,35 +310,25 @@ class CubeService:
 
     def prefix_sum_many(self, targets) -> np.ndarray:
         """Batched prefix sums against one consistent snapshot."""
-        values, _, seconds = self._read(
-            lambda m: m.prefix_sum_many(targets)
-        )
-        self.metrics.record_read(seconds, len(values))
-        return values
+        return self._counted_read(
+            lambda m: m.prefix_sum_many(targets), batch=True
+        )[0]
 
     def range_sum(self, low: Sequence[int], high: Sequence[int]):
         """One range sum (snapshot-isolated like the batched calls)."""
-        value, _, seconds = self._read(lambda m: m.range_sum(low, high))
-        self.metrics.record_read(seconds, 1)
-        return value
+        return self._counted_read(lambda m: m.range_sum(low, high))[0]
 
     def prefix_sum(self, target: Sequence[int]):
         """One prefix sum against the current snapshot."""
-        value, _, seconds = self._read(lambda m: m.prefix_sum(target))
-        self.metrics.record_read(seconds, 1)
-        return value
+        return self._counted_read(lambda m: m.prefix_sum(target))[0]
 
     def cell_value(self, index: Sequence[int]):
         """One cell read against the current snapshot."""
-        value, _, seconds = self._read(lambda m: m.cell_value(index))
-        self.metrics.record_read(seconds, 1)
-        return value
+        return self._counted_read(lambda m: m.cell_value(index))[0]
 
     def total(self):
         """Sum of the whole cube at the current snapshot."""
-        value, _, seconds = self._read(lambda m: m.total())
-        self.metrics.record_read(seconds, 1)
-        return value
+        return self._counted_read(lambda m: m.total())[0]
 
     @property
     def version(self) -> int:
@@ -425,7 +439,7 @@ class CubeService:
             # be applied in memory; either surviving or vanishing at
             # recovery respects the acked-prefix contract.
             self._wal.sync_upto(seq)
-        self.metrics.record_submit(len(pairs))
+        self.metrics.inc(updates_submitted=len(pairs))
         return seq
 
     def flush(self, timeout: Optional[float] = None) -> int:
@@ -492,8 +506,7 @@ class CubeService:
             h.update(array.tobytes())
             return h.hexdigest()
 
-        value, version, seconds = self._read(digest)
-        self.metrics.record_read(seconds, 1)
+        value, version = self._counted_read(digest)
         return version, value
 
     def snapshot_array(self) -> Tuple[np.ndarray, int]:
@@ -504,11 +517,9 @@ class CubeService:
         seed degraded-read aggregates and verify migrated slabs against
         their sources without reaching into method internals.
         """
-        array, version, seconds = self._read(
+        return self._counted_read(
             lambda method: np.array(method.to_array(), copy=True)
         )
-        self.metrics.record_read(seconds, 1)
-        return array, version
 
     def quarantined_groups(self) -> Tuple[Tuple[int, str], ...]:
         """Poisoned groups skipped by supervision: ``(seq, error)``."""
@@ -667,6 +678,8 @@ class CubeService:
             quarantined = len(self._quarantined)
         report = self.metrics.snapshot()
         report.update(
+            # every writer cycle publishes exactly one snapshot swap
+            swaps=report["batches_applied"],
             version=version,
             groups_submitted=submitted,
             groups_applied=applied,
@@ -737,9 +750,11 @@ class CubeService:
             _initial_version=state.version,
             **service_kwargs,
         )
-        service.metrics.record_recovery_replay(state.replayed_groups)
+        service.metrics.inc(
+            recovery_replays=state.replayed_groups,
+            groups_quarantined=len(state.quarantined),
+        )
         if state.quarantined:
-            service.metrics.record_quarantine(len(state.quarantined))
             with service._state_lock:
                 service._quarantined.extend(state.quarantined)
         service.last_recovery = state
@@ -794,7 +809,7 @@ class CubeService:
                         # behind any groups still waiting
                         self._queue.put(_CLOSE)
         except BaseException as error:  # surface to readers/flushers
-            self.metrics.record_writer_error()
+            self.metrics.inc(writer_errors=1)
             with self._state_lock:
                 self._writer_error = error
                 self._state_lock.notify_all()
@@ -862,14 +877,19 @@ class CubeService:
             # the back buffer may be mid-cascade: discard it, rebuild
             # from the last published state, and skip only the groups
             # that actually fail on their own
-            self.metrics.record_writer_error()
+            self.metrics.inc(writer_errors=1)
             fresh_method = self._rebuild_with_quarantine(groups)
             rebuilt = True
         fresh = _Snapshot(fresh_method, retired.version + len(groups))
         # Publish the snapshot and the applied-group counter in one
         # critical section so stats()/flush() never observe a version
-        # ahead of groups_applied (or vice versa).
-        self.metrics.record_apply_counts(submitted, applied)
+        # ahead of groups_applied (or vice versa). The cycle's counts
+        # land first, so a flush()-then-stats() sees every awaited cycle.
+        self.metrics.inc(
+            batches_applied=1,
+            updates_applied=applied,
+            updates_coalesced=submitted - applied,
+        )
         with self._state_lock:
             self._front = fresh
             self._applied_groups = groups[-1][0]
@@ -890,9 +910,8 @@ class CubeService:
             if applied:
                 retired.method.apply_batch_array(indices, deltas)
             self._back = retired.method
-        self.metrics.record_apply_latency(
-            time.perf_counter() - start, swap_wait
-        )
+        self.metrics.observe("apply_latency", time.perf_counter() - start)
+        self.metrics.observe("swap_wait", swap_wait)
         with self._state_lock:
             self._completed_groups = groups[-1][0]
             self._state_lock.notify_all()
@@ -909,7 +928,7 @@ class CubeService:
         """
         base = self._front.method.to_array()
         method = self._method_cls(base, **self._method_kwargs)
-        self.metrics.record_rebuild()
+        self.metrics.inc(rebuilds=1)
         for seq, indices, deltas in groups:
             if not len(indices):
                 continue
@@ -918,7 +937,7 @@ class CubeService:
             except Exception as error:
                 with self._state_lock:
                     self._quarantined.append((seq, repr(error)))
-                self.metrics.record_quarantine()
+                self.metrics.inc(groups_quarantined=1)
         return method
 
     def _handle_rebuild(self, token: _Rebuild) -> None:
@@ -930,7 +949,7 @@ class CubeService:
                 self._method_cls(array, **self._method_kwargs),
                 retired.version,
             )
-            self.metrics.record_rebuild()
+            self.metrics.inc(rebuilds=1)
             with self._state_lock:
                 self._front = fresh
             with retired.cond:
@@ -939,7 +958,7 @@ class CubeService:
             self._back = self._method_cls(array, **self._method_kwargs)
         except BaseException as error:
             token.error = error
-            self.metrics.record_writer_error()
+            self.metrics.inc(writer_errors=1)
         finally:
             token.event.set()
 
@@ -963,8 +982,8 @@ class CubeService:
         try:
             wal_mod.write_checkpoint(method, policy.dir, seq)
             self._last_checkpoint_seq = seq
-            self.metrics.record_checkpoint()
+            self.metrics.inc(checkpoints_written=1)
             wal_mod.prune_checkpoints(policy.dir, policy.keep_checkpoints)
             wal_mod.prune_wal(policy.dir, self._wal, policy.keep_checkpoints)
         except Exception:
-            self.metrics.record_writer_error()
+            self.metrics.inc(writer_errors=1)

@@ -313,8 +313,10 @@ class WriteAheadLog:
         checksum: ``"crc32"`` (zlib, default) or ``"crc32c"``.
         faults: optional :class:`~repro.faults.FaultPlan`; consulted
             before every append (fail-nth-write, torn writes).
-        metrics: optional :class:`~repro.metrics.service.ServiceMetrics`
-            to tally appends, bytes, and fsyncs.
+        metrics: optional :class:`~repro.metrics.registry.MetricsRegistry`
+            declaring ``wal_appends``, ``wal_bytes``, ``wal_fsyncs`` and
+            ``wal_failures``, to tally appends, bytes, fsyncs and
+            poisonings.
         repair: truncate a torn tail found at open so appends continue
             from the committed prefix; with ``repair=False`` a torn tail
             raises :class:`~repro.errors.WALError` instead.
@@ -430,7 +432,7 @@ class WriteAheadLog:
         """Mark the log failed (caller holds ``_lock``) and count it."""
         self._failed = reason
         if self._metrics is not None:
-            self._metrics.record_wal_failure()
+            self._metrics.inc(wal_failures=1)
 
     def _rotate(self) -> None:
         if self._handle is not None:
@@ -518,7 +520,10 @@ class WriteAheadLog:
                 self._durable_seq = seq
             self._segment_last_seq[self._current_path] = seq
             if self._metrics is not None:
-                self._metrics.record_wal_append(len(record), do_sync)
+                self._metrics.inc(
+                    wal_appends=1, wal_bytes=len(record),
+                    wal_fsyncs=int(do_sync),
+                )
             return len(record)
 
     def sync_upto(self, seq: int) -> None:
@@ -573,7 +578,7 @@ class WriteAheadLog:
                 if self._durable_seq < written:
                     self._durable_seq = written
             if self._metrics is not None:
-                self._metrics.record_wal_fsync()
+                self._metrics.inc(wal_fsyncs=1)
 
     # -- maintenance ---------------------------------------------------------
 

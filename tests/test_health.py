@@ -6,7 +6,7 @@ import pytest
 from repro import RelativePrefixSumCube
 from repro.cluster import BreakerPolicy, CircuitBreaker, CubeCluster
 from repro.faults import FaultPlan
-from repro.metrics.cluster import ClusterMetrics
+from repro.metrics import MetricsRegistry
 
 
 class FakeClock:
@@ -74,7 +74,9 @@ class TestCircuitBreaker:
         assert breaker.allow()
 
     def test_metrics_record_trips_and_resets(self):
-        metrics = ClusterMetrics()
+        metrics = MetricsRegistry(
+            keyed=("breaker_trips", "breaker_resets", "warming_failures")
+        )
         breaker, clock = self.make(
             threshold=1, cooldown=1.0, metrics=metrics
         )

@@ -260,6 +260,59 @@ class TestRollingMatrix:
         assert all(e["reason"] == "expired_slot" for e in dead)
         assert report["offset"] == len(records)
 
+    def test_slow_writer_roll_completes_and_resumes(self, tmp_path, rng):
+        """Every group takes 0.25-0.75 s to apply, longer than the
+        pipeline's 0.25 s queue-space wait. The roll's pre-advance
+        flush waits out that backlog; when it reused the submit
+        timeout, the roll raised TimeoutError and killed the run."""
+        records = self.make_records(rng, n=160)
+        expected, expired = self.rolling_oracle(records)
+        state = tmp_path / "svc"
+
+        def slow():
+            return FaultPlan(
+                seed=0, latency_at=range(1, 100), latency_seconds=0.5
+            )
+
+        def pipeline(svc, plan=None):
+            return IngestPipeline(
+                MemorySource(records, chunk_rows=32),
+                slot_schema(),
+                RollingServiceTarget(RollingCubeService(svc)),
+                checkpoint_path=tmp_path / "ck.json",
+                deadletter_path=tmp_path / "dead.log",
+                time_column="day",
+                group_rows=64,
+                queue_depth_low=-1,
+                queue_depth_high=10 ** 9,
+                fault_plan=plan,
+            )
+
+        svc = CubeService(
+            RelativePrefixSumCube, np.zeros((self.WINDOW, SIZE)),
+            durability=DurabilityPolicy(dir=state), fault_plan=slow(),
+        )
+        with pipeline(svc, FaultPlan(ingest_crash_at={"submit": 2})) as pipe:
+            with pytest.raises(InjectedFault):
+                pipe.run()
+        svc.abandon()
+
+        recovered = CubeService.recover(
+            state, RelativePrefixSumCube, fault_plan=slow()
+        )
+        try:
+            with pipeline(recovered) as pipe:
+                report = pipe.run()
+            recovered.flush()
+            array, _ = recovered.snapshot_array()
+        finally:
+            recovered.close()
+
+        assert np.array_equal(array, expected)
+        dead = read_dead_letters(tmp_path / "dead.log")
+        assert sorted(e["offset"] for e in dead) == expired
+        assert report["offset"] == len(records)
+
 
 class TestClusterMatrix:
     """Sharded cluster target: the coordinator dies, the cluster

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.naive import NaiveCube
-from repro.cube.rolling_window import RollingWindowEngine
+from repro.cube.rolling_window import RollingWindowEngine, physical_ranges
 from repro.errors import RangeError, SchemaError
 
 
@@ -91,13 +91,13 @@ class TestExpiry:
             engine.record(slot, (0,), 1.0)
         # logical [2, 5] (4 of 5 slots) wraps physically ([2,4] + [0,0])
         assert engine.window_sum(2, 5) == 4.0
-        assert engine._physical_ranges(2, 5) == [(2, 4), (0, 0)]
+        assert physical_ranges(2, 5, engine.window) == [(2, 4), (0, 0)]
 
     def test_full_window_range_is_single_physical_scan(self):
         engine = RollingWindowEngine((2,), window=4)
         engine.advance(10)
-        assert engine._physical_ranges(
-            engine.oldest_slot, engine.newest_slot
+        assert physical_ranges(
+            engine.oldest_slot, engine.newest_slot, engine.window
         ) == [(0, 3)]
 
 

@@ -16,7 +16,6 @@ import pytest
 
 from repro.deadline import Deadline
 from repro.errors import DeadlineExceededError
-from repro.metrics.router import RouterMetrics
 from repro.core.rps import RelativePrefixSumCube
 from repro.routing import (
     HIT,
@@ -29,6 +28,7 @@ from repro.routing import (
     RollupBuilder,
     RollupCube,
     ServiceBackend,
+    TierMetrics,
     aligned_mask,
     block_boxes,
     default_granularities,
@@ -294,7 +294,7 @@ class TestRollupBuilder:
     def test_build_now_publishes_exact_rollup(self):
         rng = np.random.default_rng(3)
         backend = _FlakyBackend(rng.integers(0, 9, (12, 12)))
-        metrics = RouterMetrics()
+        metrics = TierMetrics()
         builder = RollupBuilder(backend, metrics)
         try:
             rollup = builder.build_now(4)
@@ -305,29 +305,29 @@ class TestRollupBuilder:
                 np.array([[0, 4]]), np.array([[11, 7]])
             )
             assert got[0] == brute_range_sum(backend.cube, (0, 4), (11, 7))
-            assert metrics.rollup_builds == 1
+            assert metrics.snapshot()["rollup_builds"] == 1
         finally:
             builder.close()
 
     def test_failed_build_degrades_and_counts(self):
         backend = _FlakyBackend(np.ones((8, 8)), fail=True)
-        metrics = RouterMetrics()
+        metrics = TierMetrics()
         builder = RollupBuilder(backend, metrics)
         try:
             assert builder.build_now(4) is None
             assert builder.get(4) is None
-            assert metrics.rollup_build_failures == 1
+            assert metrics.snapshot()["rollup_build_failures"] == 1
         finally:
             builder.close()
 
     def test_background_build_failure_does_not_kill_thread(self):
         backend = _FlakyBackend(np.ones((8, 8)), fail=True)
-        metrics = RouterMetrics()
+        metrics = TierMetrics()
         builder = RollupBuilder(backend, metrics)
         try:
             assert builder.request(4)
             deadline = Deadline.after(5.0)
-            while metrics.rollup_build_failures == 0:
+            while metrics.snapshot()["rollup_build_failures"] == 0:
                 deadline.check("background build failure")
             backend.fail = False
             assert builder.request(4)
@@ -339,19 +339,19 @@ class TestRollupBuilder:
 
     def test_max_rollups_trims_finest(self):
         backend = _FlakyBackend(np.ones((64, 64)))
-        metrics = RouterMetrics()
+        metrics = TierMetrics()
         builder = RollupBuilder(backend, metrics, max_rollups=2)
         try:
             for g in (4, 8, 16):
                 builder.build_now(g)
             assert sorted(builder.published()) == [8, 16]
-            assert metrics.rollup_discards == 1
+            assert metrics.snapshot()["rollup_discards"] == 1
         finally:
             builder.close()
 
     def test_discard_stale_drops_superseded_stamps(self):
         backend = _FlakyBackend(np.ones((16, 16)))
-        metrics = RouterMetrics()
+        metrics = TierMetrics()
         builder = RollupBuilder(backend, metrics)
         try:
             builder.build_now(4)
@@ -360,7 +360,7 @@ class TestRollupBuilder:
             assert builder.discard_stale(backend.version) == 1
             assert builder.get(4) is None
             assert builder.get(8) is not None
-            assert metrics.rollup_stale_rejects == 1
+            assert metrics.snapshot()["rollup_stale_rejects"] == 1
         finally:
             builder.close()
 
@@ -415,7 +415,7 @@ class TestQueryRouter:
             brute_range_sum(cube, (8, 0), (31, 15)),
         ])
         np.testing.assert_array_equal(batch.values, expect)
-        assert router.metrics.rollup_hits == 2
+        assert router.metrics.snapshot()["rollup_hits"] == 2
 
     def test_stale_rollup_is_discarded_not_served(self, service_router):
         cube, service, router = service_router
@@ -426,7 +426,7 @@ class TestQueryRouter:
         assert batch.tiers == ("rps",)
         assert batch.values[0] == cube.sum() + 1.0
         assert router.builder.get(8) is None
-        assert router.metrics.rollup_stale_rejects == 1
+        assert router.metrics.snapshot()["rollup_stale_rejects"] == 1
 
     def test_enable_cache_false_never_caches(self):
         cube = np.ones((8, 8))
@@ -474,7 +474,7 @@ class TestQueryRouter:
             router.route_many(
                 np.array([[0, 0]]), np.array([[3, 3]]), deadline=dead
             )
-        assert router.metrics.deadline_exceeded == 1
+        assert router.metrics.snapshot()["deadline_exceeded"] == 1
 
     def test_stamps_name_the_serving_snapshot(self, service_router):
         cube, service, router = service_router

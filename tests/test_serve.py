@@ -459,15 +459,17 @@ class TestServePathFixes:
         never observed."""
         svc = CubeService(PrefixSumCube, np.zeros((6, 6), dtype=np.int64))
         gate = threading.Event()
-        original = svc.metrics.record_apply_latency
+        original = svc.metrics.observe
 
-        def stall(seconds, swap_wait_seconds):
-            # between the applied-groups publish and the completed-groups
-            # bump: applied == 1 while the flush condition still sees 0
-            gate.wait(timeout=10)
-            original(seconds, swap_wait_seconds)
+        def stall(name, seconds):
+            # the writer's apply_latency record sits between the
+            # applied-groups publish and the completed-groups bump:
+            # applied == 1 while the flush condition still sees 0
+            if name == "apply_latency":
+                gate.wait(timeout=10)
+            original(name, seconds)
 
-        svc.metrics.record_apply_latency = stall
+        svc.metrics.observe = stall
         try:
             svc.submit_batch([((0, 0), 1)])
             with pytest.raises(TimeoutError) as excinfo:
