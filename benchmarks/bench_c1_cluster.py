@@ -31,7 +31,7 @@ from repro.cluster import CubeCluster, HedgePolicy
 from repro.core.rps import RelativePrefixSumCube
 from repro.faults import FaultPlan
 from repro.serve import CubeService
-from repro.workloads import datagen
+from repro.workloads import datagen, random_ranges
 
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 
@@ -52,20 +52,8 @@ RESCUE_CEILING_S = 0.125  # floor of the jittered spike: a rescued read
 
 
 def _boxes(shape, count, seed):
-    rng = np.random.default_rng(seed)
-    lows, highs = [], []
-    for _ in range(count):
-        low, high = [], []
-        for n in shape:
-            a, b = sorted(int(x) for x in rng.integers(0, n, size=2))
-            low.append(a)
-            high.append(b)
-        lows.append(low)
-        highs.append(high)
-    return (
-        np.asarray(lows, dtype=np.intp),
-        np.asarray(highs, dtype=np.intp),
-    )
+    boxes = np.array(list(random_ranges(shape, count, seed=seed)), np.intp)
+    return boxes[:, 0], boxes[:, 1]
 
 
 def _median(values):

@@ -38,7 +38,8 @@ import numpy as np
 
 from repro.cluster import CubeCluster
 from repro.core.rps import RelativePrefixSumCube
-from repro.workloads import datagen
+from repro.testing import VersionOracle
+from repro.workloads import datagen, random_group, random_ranges
 
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 
@@ -57,20 +58,6 @@ PHASE_DWELL_S = 0.04  # per-phase-boundary dwell (7 phases per migration)
 MIN_MIGRATION_READS = 30
 P99_DEGRADATION_GATE = 25.0
 P99_FLOOR_S = 0.050
-
-
-def _boxes(shape, count, seed):
-    rng = np.random.default_rng(seed)
-    lows, highs = [], []
-    for _ in range(count):
-        low, high = [], []
-        for n in shape:
-            a, b = sorted(int(x) for x in rng.integers(0, n, size=2))
-            low.append(a)
-            high.append(b)
-        lows.append(low)
-        highs.append(high)
-    return lows, highs
 
 
 def _percentile(values, q):
@@ -118,9 +105,9 @@ def _window_row(name, walls, failed):
 
 def run_m1(shape=SHAPE, seed=23):
     cube = datagen.uniform_cube(shape, seed=seed)
-    oracle = np.asarray(cube, dtype=np.float64).copy()
+    oracle = VersionOracle(np.asarray(cube, dtype=np.float64))
     oracle_lock = threading.Lock()
-    lows, highs = _boxes(shape, QUERIES_PER_CALL, seed)
+    lows, highs = zip(*random_ranges(shape, QUERIES_PER_CALL, seed=seed))
     recorder = _Recorder()
     stop = threading.Event()
     writes_acked = [0]
@@ -148,20 +135,14 @@ def run_m1(shape=SHAPE, seed=23):
         def writer():
             wrng = np.random.default_rng(seed + 1)
             while not stop.is_set():
-                group = []
-                for _ in range(3):
-                    cell = tuple(
-                        int(wrng.integers(0, n)) for n in shape
-                    )
-                    group.append((cell, float(wrng.integers(-9, 10) or 1)))
+                group = random_group(wrng, shape, 3)
                 with oracle_lock:
                     try:
                         cluster.submit_batch(group)
                     except Exception:  # noqa: BLE001 - must not happen
                         stop.set()
                         raise
-                    for cell, delta in group:
-                        oracle[cell] += delta
+                    oracle.record(group)
                     writes_acked[0] += 1
                 time.sleep(0.002)
 
@@ -207,11 +188,11 @@ def run_m1(shape=SHAPE, seed=23):
         # quiesced exactness: the cluster absorbed exactly the acked
         # stream through both migrations
         cluster.flush()
-        full = cluster.range_sum(
-            tuple(0 for _ in shape), tuple(n - 1 for n in shape)
-        )
-        exact_after = bool(
-            np.isclose(full, float(oracle.sum()), rtol=0, atol=1e-6)
+        full_low = tuple(0 for _ in shape)
+        full_high = tuple(n - 1 for n in shape)
+        full = cluster.range_sum(full_low, full_high)
+        exact_after = not oracle.check(
+            [full_low], [full_high], [full], oracle.version
         )
         final_epoch = cluster.epoch
         cluster.close()

@@ -29,6 +29,8 @@ import numpy as np
 from repro.core.rps import RelativePrefixSumCube
 from repro.net import CubeClient, CubeServer
 from repro.serve import CubeService
+from repro.testing import VersionOracle
+from repro.workloads import random_group, random_ranges
 
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 
@@ -49,45 +51,11 @@ P99_GATE_MS = 250.0
 
 
 def _pages(shape, seed, count, boxes):
-    rng = np.random.default_rng(seed)
-    pages = []
-    for _ in range(count):
-        lows, highs = [], []
-        for _ in range(boxes):
-            lo, hi = [], []
-            for n in shape:
-                a, b = sorted(int(x) for x in rng.integers(0, n, size=2))
-                lo.append(a)
-                hi.append(b)
-            lows.append(lo)
-            highs.append(hi)
-        pages.append((lows, highs))
-    return pages
-
-
-def _write_stream(shape, cube, seed, count):
-    """The update groups and the exact cube state after each one."""
-    rng = np.random.default_rng(seed)
-    groups, states = [], [cube.copy()]
-    for _ in range(count):
-        group = [
-            (
-                tuple(int(rng.integers(0, n)) for n in shape),
-                float(rng.integers(-9, 10) or 1),
-            )
-            for _ in range(4)
-        ]
-        groups.append(group)
-        state = states[-1].copy()
-        for cell, delta in group:
-            state[cell] += delta
-        states.append(state)
-    return groups, states
-
-
-def _box_sum(state, lo, hi):
-    sl = tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
-    return float(state[sl].sum())
+    lows, highs = zip(*random_ranges(shape, count * boxes, seed=seed))
+    return [
+        (lows[i:i + boxes], highs[i:i + boxes])
+        for i in range(0, count * boxes, boxes)
+    ]
 
 
 async def _reader(host, port, pages, latencies, answers, worker_id):
@@ -139,7 +107,11 @@ def run_n1(
     """Drive the concurrent socket workload; returns the N1 report."""
     rng = np.random.default_rng(seed)
     cube = rng.integers(0, 100, shape).astype(np.float64)
-    groups, states = _write_stream(shape, cube, seed + 1, WRITE_GROUPS)
+    write_rng = np.random.default_rng(seed + 1)
+    groups = [random_group(write_rng, shape, 4) for _ in range(WRITE_GROUPS)]
+    oracle = VersionOracle(cube)
+    for group in groups:
+        oracle.record(group)
     reader_pages = [
         _pages(shape, [seed, worker], requests, BOXES_PER_REQUEST)
         for worker in range(connections)
@@ -166,12 +138,9 @@ def run_n1(
     mismatches = 0
     versions_seen = set()
     for worker_id, request_index, values, stamp in answers:
-        state = states[int(stamp)]
         versions_seen.add(int(stamp))
         lows, highs = reader_pages[worker_id][request_index]
-        for lo, hi, value in zip(lows, highs, values):
-            if value != _box_sum(state, lo, hi):
-                mismatches += 1
+        mismatches += len(oracle.check(lows, highs, values, stamp))
 
     lat = np.asarray(sorted(latencies))
     expected = connections * requests

@@ -206,7 +206,11 @@ def _cmd_cluster(args) -> int:
 
     from repro.cluster import BreakerPolicy, CubeCluster
     from repro.faults import FaultPlan
-    from repro.workloads import ClusterWorkloadRunner
+    from repro.workloads import (
+        ClusterWorkloadRunner,
+        random_group,
+        random_range,
+    )
 
     rng = np.random.default_rng(args.seed)
     shape = (args.n, args.n)
@@ -231,24 +235,11 @@ def _cmd_cluster(args) -> int:
             runner = ClusterWorkloadRunner(cluster, cube.astype(np.float64))
 
             def traffic(count):
-                queries, groups = [], []
-                for _ in range(count):
-                    low, high = [], []
-                    for n in shape:
-                        a, b = sorted(
-                            int(x) for x in rng.integers(0, n, size=2)
-                        )
-                        low.append(a)
-                        high.append(b)
-                    queries.append((tuple(low), tuple(high)))
-                    groups.append([
-                        (
-                            tuple(int(rng.integers(0, n)) for n in shape),
-                            float(rng.integers(-9, 10) or 1),
-                        )
-                        for _ in range(4)
-                    ])
-                return queries, groups
+                pairs = [
+                    (random_range(rng, shape), random_group(rng, shape, 4))
+                    for _ in range(count)
+                ]
+                return zip(*pairs)
 
             half = max(1, args.ops // 2)
             result = runner.run(*traffic(half))
@@ -278,6 +269,7 @@ def _cmd_router(args) -> int:
 
     from repro.routing import QueryRouter
     from repro.serve import CubeService
+    from repro.testing import VersionOracle
 
     rng = np.random.default_rng(args.seed)
     shape = (args.n, args.n)
@@ -304,7 +296,7 @@ def _cmd_router(args) -> int:
         ) as router:
             if args.rollup:
                 router.build_rollup(g)
-            oracle = cube.copy()
+            oracle = VersionOracle(cube)
             for round_no in range(args.rounds):
                 blo = rng.integers(0, blocks, (args.queries, 2)) * g
                 bhi = blo + g * rng.integers(
@@ -314,17 +306,15 @@ def _cmd_router(args) -> int:
                 for lows, highs in ((hot_lows, hot_highs), (blo, bhi)):
                     for _ in range(args.repeats):
                         values = router.range_sum_many(lows, highs)
-                        expect = np.array([
-                            oracle[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1].sum()
-                            for lo, hi in zip(lows, highs)
-                        ])
-                        mismatches += int((~np.isclose(values, expect)).sum())
+                        mismatches += len(oracle.check(
+                            lows, highs, values, oracle.version
+                        ))
                 if round_no + 1 < args.rounds:
                     cell = tuple(int(c) for c in rng.integers(0, args.n, 2))
                     delta = float(rng.integers(1, 10))
                     router.submit_batch([(cell, delta)])
                     router.flush()
-                    oracle[cell] += delta
+                    oracle.record([(cell, delta)])
                     if args.rollup:
                         router.build_rollup(g)
     stats = router.stats()

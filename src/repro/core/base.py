@@ -305,19 +305,15 @@ class RangeSumMethod(abc.ABC):
         Raises :class:`~repro.errors.RangeError` on the first mismatch;
         O(n^d) for the reconstruction plus ``probes`` range queries.
         """
+        from repro.workloads.querygen import random_ranges
+
         reference = np.asarray(self.to_array())
         floating = np.issubdtype(reference.dtype, np.floating)
-        rng = np.random.default_rng(seed)
-        for _ in range(probes):
-            low, high = [], []
-            for n in self.shape:
-                a, b = sorted(int(x) for x in rng.integers(0, n, size=2))
-                low.append(a)
-                high.append(b)
+        for low, high in random_ranges(self.shape, probes, seed=seed):
             region = reference[
                 tuple(slice(l, h + 1) for l, h in zip(low, high))
             ]
-            got = self.range_sum(tuple(low), tuple(high))
+            got = self.range_sum(low, high)
             if floating:
                 expected = float(region.sum())
                 mismatch = not np.isclose(float(got), expected)
@@ -327,7 +323,7 @@ class RangeSumMethod(abc.ABC):
             if mismatch:
                 raise RangeError(
                     f"{type(self).__name__} failed verification at "
-                    f"range {tuple(low)}..{tuple(high)}: "
+                    f"range {low}..{high}: "
                     f"got {got}, expected {expected}"
                 )
 

@@ -21,15 +21,28 @@ updates (``apply_batch_array``); use
 :func:`assert_batch_updates_correct` alone for a focused check that a
 custom vectorized kernel matches the looped path in both values and
 counter charges.
+
+:class:`VersionOracle` is the one brute-force truth for stacks that
+serve snapshot-stamped answers (services, routers, clusters, the socket
+tier, ingest targets): it folds each acknowledged update group into the
+next version, and :meth:`VersionOracle.check` holds every answer to the
+exact sum at the version it is stamped with — or, for an explicit
+degraded :class:`~repro.cluster.RangeEstimate`, to an interval that
+contains that sum. The test suite, the chaos soak
+(``tools/chaos_soak.py``), the cluster workload runner and the N1
+benchmark all check through it.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Sequence, Tuple, Type
 
 import numpy as np
 
 from repro.core.base import RangeSumMethod
+from repro.workloads.querygen import random_range, random_ranges
+from repro.workloads.updategen import random_group
 
 DEFAULT_SHAPES: Tuple[Tuple[int, ...], ...] = (
     (13,),
@@ -39,28 +52,132 @@ DEFAULT_SHAPES: Tuple[Tuple[int, ...], ...] = (
 )
 
 
-def _oracle_range(array, low, high):
-    return array[tuple(slice(l, h + 1) for l, h in zip(low, high))].sum()
+def box_sum(array, low, high):
+    """Brute-force sum of the inclusive box ``[low, high]`` of ``array``."""
+    return array[
+        tuple(slice(int(l), int(h) + 1) for l, h in zip(low, high))
+    ].sum()
 
 
-def _random_range(rng, shape):
-    low, high = [], []
-    for n in shape:
-        a, b = sorted(int(x) for x in rng.integers(0, n, size=2))
-        low.append(a)
-        high.append(b)
-    return tuple(low), tuple(high)
+class VersionOracle:
+    """Brute-force truth at every acknowledged version of one cube.
 
+    Version 0 is ``initial``; :meth:`record` folds in one acknowledged
+    update group and returns the version it produces, mirroring a
+    service whose ``n``-th acked group publishes version ``n``. States
+    are materialised lazily, from the nearest folded version below, and
+    only the newest :attr:`MAX_STATES` are kept (version 0 always is).
+    Writers may record while reader threads check.
+    """
 
-def _batch_of_ranges(rng, shape, count):
-    """``(Q, d)`` low/high batches of random ranges (may repeat)."""
-    lows = np.empty((count, len(shape)), dtype=np.intp)
-    highs = np.empty((count, len(shape)), dtype=np.intp)
-    for q in range(count):
-        low, high = _random_range(rng, shape)
-        lows[q] = low
-        highs[q] = high
-    return lows, highs
+    MAX_STATES = 64
+
+    def __init__(self, initial) -> None:
+        self._groups: list = []
+        self._states = {0: np.array(initial, copy=True)}
+        self._lock = threading.Lock()
+
+    @property
+    def version(self) -> int:
+        """The newest acknowledged version."""
+        return len(self._groups)
+
+    def record(self, group) -> int:
+        """Fold one acknowledged ``[(cell, delta), ...]`` group; return
+        the new version."""
+        group = [(tuple(int(c) for c in cell), delta) for cell, delta in group]
+        with self._lock:
+            self._groups.append(group)
+            return len(self._groups)
+
+    def state(self, version) -> np.ndarray:
+        """The dense cube at ``version`` (read-only by convention).
+
+        Raises:
+            ValueError: ``version`` is not an integer in ``[0, acked]`` —
+                a stamp that names a snapshot which never existed.
+        """
+        with self._lock:
+            acked = len(self._groups)
+            if (
+                isinstance(version, bool)
+                or not isinstance(version, (int, np.integer))
+                or not 0 <= version <= acked
+            ):
+                raise ValueError(
+                    f"stamp {version!r} names no acknowledged version "
+                    f"(0..{acked})"
+                )
+            version = int(version)
+            state = self._states.get(version)
+            if state is None:
+                base = max(v for v in self._states if v < version)
+                state = self._states[base].copy()
+                for group in self._groups[base:version]:
+                    for cell, delta in group:
+                        state[cell] += delta
+                self._states[version] = state
+                if len(self._states) > self.MAX_STATES:
+                    del self._states[min(v for v in self._states if v)]
+            return state
+
+    def box_sum(self, low, high, version):
+        """The true sum of box ``[low, high]`` at ``version``."""
+        return box_sum(self.state(version), low, high)
+
+    def check(self, lows, highs, values, stamp, estimates=None) -> list:
+        """Hold each answer to the truth at its stamp; return mismatches.
+
+        ``stamp`` is one version for the whole batch or one per box.
+        Answer ``i`` must equal the box sum at its stamp exactly, unless
+        ``estimates[i]`` is not ``None``: then it must be marked
+        ``estimate=True`` and its ``[low, high]`` interval must contain
+        the truth. A stamp outside ``[0, acked]`` is itself a mismatch.
+        The result is a list of JSON-friendly dicts, empty when every
+        answer holds.
+        """
+        stamps = (
+            [stamp] * len(values) if np.ndim(stamp) == 0 else list(stamp)
+        )
+        if estimates is None:
+            estimates = [None] * len(values)
+        if not len(lows) == len(highs) == len(values) == len(stamps) == len(
+            estimates
+        ):
+            return [{"error": "answer count does not match the boxes"}]
+        mismatches = []
+        for i, (lo, hi, value, at, est) in enumerate(
+            zip(lows, highs, values, stamps, estimates)
+        ):
+            try:
+                truth = self.box_sum(lo, hi, at)
+            except ValueError as error:
+                found = {"error": str(error)}
+            else:
+                if est is None:
+                    ok = value == truth
+                else:
+                    ok = est.estimate is True and est.low <= truth <= est.high
+                if ok:
+                    continue
+                found = {
+                    "stamp": int(at), "value": float(value),
+                    "expect": float(truth), "estimate": repr(est),
+                }
+            box = ([int(c) for c in lo], [int(c) for c in hi])
+            mismatches.append({"index": i, "box": box, **found})
+        return mismatches
+
+    def check_array(self, actual, stamp) -> list:
+        """:meth:`check` every cell of a dense ``actual`` cube at one
+        acknowledged stamp: empty when it equals the oracle cell for
+        cell."""
+        actual = np.asarray(actual)
+        shape = self.state(stamp).shape
+        if actual.shape != shape:
+            return [{"error": f"shape {actual.shape} != oracle {shape}"}]
+        cells = np.argwhere(np.ones(shape, dtype=bool))
+        return self.check(cells, cells, actual.ravel(), stamp)
 
 
 def assert_batch_queries_correct(
@@ -105,7 +222,10 @@ def assert_batch_queries_correct(
             f"{context} empty batches must not charge the counter"
         )
 
-        lows, highs = _batch_of_ranges(rng, shape, queries)
+        boxes = np.array(
+            list(random_ranges(shape, queries, seed=rng)), dtype=np.intp
+        )
+        lows, highs = boxes[:, 0], boxes[:, 1]
         # boundary rows: the full cube, a single cell at each extreme,
         # and a duplicated row
         top = np.asarray(shape, dtype=np.intp) - 1
@@ -127,7 +247,7 @@ def assert_batch_queries_correct(
         got = batched.range_sum_many(lows, highs)
         batch_cost = batch_before.delta(batched.counter)
         oracle = [
-            _oracle_range(array, tuple(lo), tuple(hi))
+            box_sum(array, tuple(lo), tuple(hi))
             for lo, hi in zip(lows, highs)
         ]
         assert got.shape == (len(lows),), (
@@ -187,7 +307,7 @@ def assert_batch_queries_correct(
         array_after[cell] += 17
         got_after = batched.range_sum_many(lows, highs)
         oracle_after = [
-            _oracle_range(array_after, tuple(lo), tuple(hi))
+            box_sum(array_after, tuple(lo), tuple(hi))
             for lo, hi in zip(lows, highs)
         ]
         assert np.allclose(
@@ -336,10 +456,10 @@ def assert_method_correct(
         oracle = array.copy()
         for step in range(operations):
             step_context = f"{context} step={step}"
-            low, high = _random_range(rng, shape)
+            low, high = random_range(rng, shape)
             before = method.counter.snapshot()
             got = method.range_sum(low, high)
-            expected = _oracle_range(oracle, low, high)
+            expected = box_sum(oracle, low, high)
             assert np.isclose(float(got), float(expected)), (
                 f"{step_context} range_sum({low}, {high}) = {got}, "
                 f"expected {expected}"
@@ -440,7 +560,7 @@ def assert_recovery_correct(
 
     rng = np.random.default_rng(seed)
     base = rng.integers(-20, 80, size=shape).astype(np.int64)
-    oracle = base.copy()
+    oracle = VersionOracle(base)
     cutoff = groups if crash_after is None else int(crash_after)
 
     service = CubeService(
@@ -451,35 +571,25 @@ def assert_recovery_correct(
             dir=directory, checkpoint_every=checkpoint_every
         ),
     )
-    acked = 0
     try:
-        for _ in range(groups):
-            if acked >= cutoff:
-                break
-            updates = [
-                (
-                    tuple(int(rng.integers(0, n)) for n in shape),
-                    int(rng.integers(-9, 10)) or 1,
-                )
-                for _ in range(int(rng.integers(1, 6)))
-            ]
-            service.submit_batch(updates)
-            acked += 1
-            for cell, delta in updates:
-                oracle[cell] += delta
+        for _ in range(min(groups, cutoff)):
+            group = random_group(rng, shape, int(rng.integers(1, 6)))
+            service.submit_batch(group)
+            oracle.record(group)
     finally:
         service.abandon()
 
     recovered = CubeService.recover(directory, method_cls)
     try:
+        acked = oracle.version
         assert recovered.version == acked, (
             f"recovered version {recovered.version}, "
             f"but {acked} groups were acknowledged (seed={seed})"
         )
-        arr, _, _ = recovered._read(lambda m: m.to_array())
-        assert np.array_equal(np.asarray(arr), oracle), (
+        mismatches = oracle.check_array(recovered.snapshot_array()[0], acked)
+        assert not mismatches, (
             f"recovered state diverged from the acked-prefix oracle "
-            f"(seed={seed}, acked={acked})"
+            f"(seed={seed}, acked={acked}): {mismatches[:3]}"
         )
         assert not recovered.quarantined_groups(), (
             "clean workload must not quarantine anything at replay"

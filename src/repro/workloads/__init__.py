@@ -13,6 +13,7 @@ from repro.workloads.querygen import (
     fixed_extent_ranges,
     hotspot_ranges,
     point_queries,
+    random_range,
     random_ranges,
     sliding_windows,
 )
@@ -25,6 +26,7 @@ from repro.workloads.scenarios import SCENARIOS, Scenario, get_scenario, run_sce
 from repro.workloads.trace import Operation, Trace
 from repro.workloads.updategen import (
     append_updates,
+    random_group,
     random_updates,
     skewed_updates,
     worst_case_cell,
@@ -48,6 +50,8 @@ __all__ = [
     "make_cube",
     "paper_example_cube",
     "point_queries",
+    "random_group",
+    "random_range",
     "random_ranges",
     "random_updates",
     "skewed_updates",

@@ -40,6 +40,11 @@ def random_ranges(
         yield tuple(low), tuple(high)
 
 
+def random_range(rng, shape: Sequence[int]) -> QueryRange:
+    """One :func:`random_ranges` box, drawn from generator ``rng`` in place."""
+    return next(random_ranges(shape, 1, seed=rng))
+
+
 def fixed_extent_ranges(
     shape: Sequence[int],
     extent: float,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -19,6 +20,20 @@ from repro.core.base import RangeSumMethod
 from repro.errors import ClusterUnavailableError, WorkloadError
 from repro.workloads.querygen import QueryRange
 from repro.workloads.updategen import Update
+
+
+_DONE = object()
+
+
+def _interleave(queries, updates) -> List[Tuple[str, object]]:
+    """``q, u, q, u, ...`` ops, then whichever stream is left over."""
+    ops = []
+    for query, update in zip_longest(queries, updates, fillvalue=_DONE):
+        if query is not _DONE:
+            ops.append(("q", query))
+        if update is not _DONE:
+            ops.append(("u", update))
+    return ops
 
 
 @dataclass
@@ -117,25 +132,10 @@ class WorkloadRunner:
         query, update...; otherwise all queries run first.
         """
         result = WorkloadResult(method=self.method.name)
-        query_list = list(queries)
-        update_list = list(updates)
         if interleave:
-            ops: List[Tuple[str, object]] = []
-            qi = ui = 0
-            for i in range(len(query_list) + len(update_list)):
-                take_query = (i % 2 == 0 and qi < len(query_list)) or (
-                    ui >= len(update_list)
-                )
-                if take_query:
-                    ops.append(("q", query_list[qi]))
-                    qi += 1
-                else:
-                    ops.append(("u", update_list[ui]))
-                    ui += 1
+            ops = _interleave(queries, updates)
         else:
-            ops = [("q", q) for q in query_list] + [
-                ("u", u) for u in update_list
-            ]
+            ops = [("q", q) for q in queries] + [("u", u) for u in updates]
         for kind, op in ops:
             if kind == "q":
                 self._run_query(op, result, keep_answers)
@@ -183,16 +183,17 @@ class ClusterWorkloadRunner:
     """Drives interleaved traffic through a :class:`CubeCluster`.
 
     The cluster analogue of :class:`WorkloadRunner`: queries and update
-    groups alternate, the oracle applies *exactly* the acknowledged
-    updates (on a :class:`~repro.errors.ClusterUnavailableError` the
-    error's ``acked`` receipt decides, per shard, which cells the oracle
-    folds in), and every answered query is checked exactly — under
-    chaos, a dropped answer is acceptable, a wrong one never is.
+    groups alternate, a :class:`~repro.testing.VersionOracle` records
+    *exactly* the acknowledged updates (on a
+    :class:`~repro.errors.ClusterUnavailableError` the error's ``acked``
+    receipt decides, per shard, which cells it folds in), and every
+    answered query must equal the oracle's newest version exactly —
+    under chaos, a dropped answer is acceptable, a wrong one never is.
 
     Args:
         cluster: the :class:`~repro.cluster.CubeCluster` under test.
-        oracle: dense array the updates are mirrored into; must match
-            the cluster's cube shape.
+        oracle: the initial dense cube the oracle starts from; must
+            match the cluster's cube shape.
         deadline_s: optional per-operation deadline budget.
     """
 
@@ -203,13 +204,16 @@ class ClusterWorkloadRunner:
         *,
         deadline_s: Optional[float] = None,
     ) -> None:
+        from repro.testing import VersionOracle
+
         self.cluster = cluster
-        self.oracle = np.array(oracle)
-        if self.oracle.shape != cluster.shape:
+        oracle = np.asarray(oracle)
+        if oracle.shape != cluster.shape:
             raise WorkloadError(
-                f"oracle shape {self.oracle.shape} != cluster shape "
+                f"oracle shape {oracle.shape} != cluster shape "
                 f"{cluster.shape}"
             )
+        self.oracle = VersionOracle(oracle)
         self.deadline_s = deadline_s
 
     def _deadline(self):
@@ -237,21 +241,7 @@ class ClusterWorkloadRunner:
         what was acked.
         """
         result = WorkloadResult(method="cluster")
-        query_list = list(queries)
-        group_list = [list(g) for g in update_groups]
-        ops: List[Tuple[str, object]] = []
-        qi = ui = 0
-        for i in range(len(query_list) + len(group_list)):
-            take_query = (i % 2 == 0 and qi < len(query_list)) or (
-                ui >= len(group_list)
-            )
-            if take_query:
-                ops.append(("q", query_list[qi]))
-                qi += 1
-            else:
-                ops.append(("u", group_list[ui]))
-                ui += 1
-        for kind, op in ops:
+        for kind, op in _interleave(queries, map(list, update_groups)):
             if kind == "q":
                 self._run_query(op, result, flush_before_query)
             else:
@@ -276,10 +266,9 @@ class ClusterWorkloadRunner:
         result.query_seconds += elapsed
         result.query_latencies.append(elapsed)
         result.queries += 1
-        slices = tuple(slice(l, h + 1) for l, h in zip(low, high))
-        expected = self.oracle[slices].sum()
-        if not np.isclose(float(answer), float(expected)):
-            result.mismatches += 1
+        result.mismatches += len(
+            self.oracle.check([low], [high], [answer], self.oracle.version)
+        )
 
     def _run_group(self, group: List[Update], result: WorkloadResult) -> None:
         start = time.perf_counter()
@@ -294,9 +283,10 @@ class ClusterWorkloadRunner:
         result.update_latencies.append(elapsed)
         result.updates += 1
         shardmap = self.cluster.shardmap
-        for cell, delta in group:
-            if (
-                acked_shards is None
-                or shardmap.shard_of(cell) in acked_shards
-            ):
-                self.oracle[tuple(cell)] += delta
+        acked = [
+            (cell, delta)
+            for cell, delta in group
+            if acked_shards is None or shardmap.shard_of(cell) in acked_shards
+        ]
+        if acked:
+            self.oracle.record(acked)

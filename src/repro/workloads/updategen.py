@@ -9,7 +9,7 @@ adversarial worst-case cells each method's analysis highlights.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +43,22 @@ def random_updates(
         while delta == 0:
             delta = int(rng.integers(-max_delta, max_delta + 1))
         yield cell, delta
+
+
+def random_group(rng, shape: Sequence[int], cells: int) -> List[Update]:
+    """One update group of ``cells`` uniformly random ``(cell, delta)``
+    pairs, each delta a non-zero integer in ``[-9, 9]`` as a float.
+
+    Draws from ``rng`` in place, cell coordinates then delta per pair, so
+    callers that interleave groups with other draws stay reproducible.
+    """
+    return [
+        (
+            tuple(int(rng.integers(0, n)) for n in shape),
+            float(rng.integers(-9, 10) or 1),
+        )
+        for _ in range(cells)
+    ]
 
 
 def skewed_updates(

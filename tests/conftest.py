@@ -6,6 +6,9 @@ import pytest
 from repro import paper
 from repro.baselines import FenwickCube, NaiveCube, PrefixSumCube
 from repro.core import RelativePrefixSumCube
+# the brute-force box oracle and box generator the test modules share
+from repro.testing import box_sum as brute_range_sum  # noqa: F401
+from repro.workloads import random_range  # noqa: F401
 
 
 @pytest.fixture
@@ -28,19 +31,3 @@ METHOD_CLASSES = [NaiveCube, PrefixSumCube, FenwickCube, RelativePrefixSumCube]
 def method_class(request):
     """Parametrize a test over every range-sum method."""
     return request.param
-
-
-def brute_range_sum(array, low, high):
-    """Oracle: direct scan of the inclusive range."""
-    slices = tuple(slice(l, h + 1) for l, h in zip(low, high))
-    return array[slices].sum()
-
-
-def random_range(generator, shape):
-    """A uniformly random inclusive range within ``shape``."""
-    low, high = [], []
-    for n in shape:
-        a, b = sorted(int(x) for x in generator.integers(0, n, size=2))
-        low.append(a)
-        high.append(b)
-    return tuple(low), tuple(high)

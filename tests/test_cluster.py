@@ -486,6 +486,29 @@ class TestClusterWorkloadRunner:
             assert result.mismatches == 0
             assert result.unavailable > 0
 
+    def test_answer_one_unit_off_is_a_mismatch(self):
+        """Exact, not approximate: on the ``repro.cli cluster`` default
+        cube (sum 204,284) a full-cube answer one unit low used to pass
+        a relative-tolerance comparison."""
+
+        class OneLow:
+            def __init__(self, cube):
+                self.cube = cube
+                self.shape = cube.shape
+
+            def flush(self):
+                pass
+
+            def range_sum(self, low, high, deadline=None):
+                return float(brute_range_sum(self.cube, low, high)) - 1.0
+
+        cube = np.random.default_rng(0).integers(0, 100, (64, 64))
+        assert cube.sum() == 204_284
+        runner = ClusterWorkloadRunner(OneLow(cube), cube.astype(np.float64))
+        result = runner.run([((0, 0), (63, 63)), ((5, 5), (5, 5))])
+        assert result.queries == 2
+        assert result.mismatches == 2
+
     def test_oracle_shape_must_match(self, tmp_path, rng):
         from repro.errors import WorkloadError
 

@@ -32,6 +32,8 @@ from repro.core.rps import RelativePrefixSumCube
 from repro.faults import FaultPlan
 from repro.routing import QueryRouter
 from repro.serve import CubeService, DurabilityPolicy, ServiceClosedError
+from repro.testing import VersionOracle
+from repro.workloads import random_group, random_ranges
 
 from .conftest import brute_range_sum
 
@@ -159,18 +161,9 @@ class TestCrashMatrix:
             durability=DurabilityPolicy(dir=tmp_path),
         )
         shape = expected.shape
-        rng = np.random.default_rng(99)
-        lows, highs = [], []
-        for _ in range(16):
-            lo, hi = [], []
-            for n in shape:
-                a, b = sorted(int(x) for x in rng.integers(0, n, 2))
-                lo.append(a)
-                hi.append(b)
-            lows.append(lo)
-            highs.append(hi)
-        lows.append([0] * len(shape))
-        highs.append([n - 1 for n in shape])
+        lows, highs = map(list, zip(*random_ranges(shape, 16, seed=99)))
+        lows.append(tuple(0 for _ in shape))
+        highs.append(tuple(n - 1 for n in shape))
         with recovered:
             direct, _ = recovered.query_many(lows, highs)
             oracle = np.array([
@@ -229,22 +222,8 @@ def test_reads_racing_version_swaps():
     shape = (12, 12)
     rng = np.random.default_rng(42)
     cube = rng.integers(0, 50, shape).astype(np.float64)
-    n_groups = 60
-    groups = []
-    states = [cube.copy()]
-    for _ in range(n_groups):
-        group = [
-            (
-                tuple(int(rng.integers(0, n)) for n in shape),
-                float(rng.integers(1, 9)),
-            )
-            for _ in range(2)
-        ]
-        groups.append(group)
-        state = states[-1].copy()
-        for cell, delta in group:
-            state[cell] += delta
-        states.append(state)
+    groups = [random_group(rng, shape, 2) for _ in range(60)]
+    oracle = VersionOracle(cube)
     page_lows = np.array([[0, 0], [2, 3], [4, 0], [0, 4]])
     page_highs = np.array([[11, 11], [9, 10], [7, 11], [11, 7]])
     errors = []
@@ -256,20 +235,20 @@ def test_reads_racing_version_swaps():
             def reader():
                 while not stop.is_set():
                     batch = router.route_many(page_lows, page_highs)
-                    for lo, hi, value, stamp, tier in zip(
-                        page_lows, page_highs, batch.values,
-                        batch.stamps, batch.tiers,
-                    ):
-                        expect = brute_range_sum(states[stamp], lo, hi)
-                        if value != expect:
-                            errors.append((tuple(lo), tuple(hi), tier,
-                                           stamp, value, expect))
-                            return
+                    mismatches = oracle.check(
+                        page_lows, page_highs, batch.values, batch.stamps
+                    )
+                    if mismatches:
+                        errors.extend(mismatches)
+                        return
 
             threads = [threading.Thread(target=reader) for _ in range(3)]
             for t in threads:
                 t.start()
             for i, group in enumerate(groups):
+                # recorded before the submit, so no reader can observe a
+                # version the oracle does not know yet
+                oracle.record(group)
                 router.submit_batch(group)
                 if i % 7 == 0:
                     router.flush()

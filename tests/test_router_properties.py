@@ -32,12 +32,12 @@ from repro.core.rps import RelativePrefixSumCube
 from repro.routing import QueryRouter, ResultCache
 from repro.routing.router import ServiceBackend
 from repro.serve import CubeService
-
-from .conftest import brute_range_sum
+from repro.testing import VersionOracle
 
 
 class RouterHarness:
-    """Tracks the submitted-group history and checks P1/P2/P3.
+    """Records the submitted groups in a per-version oracle and checks
+    P1/P2/P3.
 
     The service applies groups in submission order, so the oracle at
     version ``v`` is the initial cube plus the first ``v`` groups —
@@ -46,40 +46,24 @@ class RouterHarness:
     """
 
     def __init__(self, cube):
-        self.states = [np.asarray(cube, dtype=np.float64).copy()]
-        self.groups = []
+        self.oracle = VersionOracle(np.asarray(cube, dtype=np.float64))
         self.flush_floor = 0
         self.prev_read_max = 0
 
     def record_submit(self, group):
-        self.groups.append(group)
+        self.oracle.record(group)
 
     def record_flush(self):
-        self.flush_floor = len(self.groups)
-
-    def oracle(self, version):
-        assert 0 <= version <= len(self.groups), (
-            f"stamp {version} names a snapshot that never existed "
-            f"({len(self.groups)} groups submitted)"
-        )
-        while len(self.states) <= version:
-            state = self.states[-1].copy()
-            for cell, delta in self.groups[len(self.states) - 1]:
-                state[cell] += delta
-            self.states.append(state)
-        return self.states[version]
+        self.flush_floor = self.oracle.version
 
     def check_read(self, lows, highs, batch):
         batch_min = min(batch.stamps)
-        for lo, hi, value, stamp, tier in zip(
-            lows, highs, batch.values, batch.stamps, batch.tiers
-        ):
-            expected = brute_range_sum(self.oracle(stamp), lo, hi)
-            assert value == expected, (
-                f"P1 violated: tier {tier!r} answered {value} for box "
-                f"{tuple(lo)}..{tuple(hi)} stamped v{stamp}, but the "
-                f"oracle at v{stamp} says {expected}"
-            )
+        mismatches = self.oracle.check(lows, highs, batch.values, batch.stamps)
+        assert not mismatches, (
+            f"P1 violated: answers disagree with the oracle at their "
+            f"stamps (tiers {batch.tiers}): {mismatches}"
+        )
+        for stamp, tier in zip(batch.stamps, batch.tiers):
             assert stamp >= self.flush_floor, (
                 f"P2 violated: tier {tier!r} answer stamped v{stamp} "
                 f"after flush() acknowledged v{self.flush_floor}"

@@ -1,88 +1,65 @@
-"""Seeded fault-injection soak for the durability and cluster layers.
+"""Seeded fault-injection soak: every serving stack, one oracle.
 
-``--mode single`` (default) runs crash/recover rounds against a
-brute-force oracle until a time budget expires, cycling three scenarios
-per seed:
+Each round builds one stack, drives seeded writes and box reads through
+it while injecting that mode's faults, and holds every answer to one
+:class:`~repro.testing.VersionOracle`: the exact sum at the version the
+answer is stamped with, or — for an explicit degraded ``RangeEstimate``
+— an interval that contains it. A mode is one row of :data:`MODES` (RNG
+salt, cube shapes, parameter draw, run function); its run function holds
+only the fault choreography:
 
-* **crash** — feed a durable :class:`~repro.serve.CubeService` random
-  update groups, kill it at a random point (``abandon()`` leaves the
-  exact power-loss disk image), recover, and assert the recovered cube
-  equals an oracle that applied exactly the acknowledged prefix.
-* **torn-tail** — a :class:`~repro.faults.FaultPlan` tears a WAL append
-  mid-record; the torn group was never acked, so recovery must surface
-  exactly the groups before it and the resumed service must append
-  cleanly after truncation.
-* **bad-checkpoint** — flip a byte in the newest checkpoint; recovery
-  must fall back to the previous one and still reach the oracle state
-  via WAL replay.
+* ``single`` (default) cycles three crash/recover scenarios against one
+  durable :class:`~repro.serve.CubeService`. **crash**: abandon at a
+  random point (the power-loss disk image), recover, and match the
+  acknowledged prefix. **torn-tail**: a :class:`~repro.faults.FaultPlan`
+  tears a WAL append mid-record; recovery surfaces exactly the groups
+  before it and the resumed service appends cleanly. **bad-checkpoint**:
+  flip a byte in the newest checkpoint; recovery falls back to the
+  previous one and replays the WAL.
+* ``cluster`` drives a seeded sharded, replicated
+  :class:`~repro.cluster.CubeCluster` while **killing a primary** (the
+  health monitor must fail over with zero acked-group loss),
+  **partitioning a replica** (reads keep flowing) and **corrupting a
+  replica's state** (the anti-entropy scrubber must detect and repair
+  it).
+* ``router`` races concurrent readers of a
+  :class:`~repro.routing.QueryRouter` against writer churn while a fault
+  fails rollup *builds* mid-round: a failed build must degrade to the
+  RPS fallback, and a build must succeed again once the fault heals.
+* ``net`` fronts a service whose writer is slowed by injected apply
+  latency with a :class:`~repro.net.CubeServer`; batched and streaming
+  socket clients read while a client writes, and mid-round the round
+  starves a tenant's quota, sends malformed frames and a bad token, and
+  drops a connection mid-frame. Each abuse must get its documented wire
+  error; ``overloaded`` and ``quota_exceeded`` are retried per their
+  ``retry_after_s`` hint, and a stream with a missing chunk fails.
+* ``reshard`` runs a live split or merge with a write and exact reads at
+  every migration phase boundary, while a coordinator crash at a chosen
+  phase, a whole migration-target kill mid-dual-write, or no fault
+  fires. A failed migration must roll back to the prior epoch with zero
+  acked-group loss; the retry must land on a larger epoch. The round
+  ends by killing a whole shard: exact reads must refuse, and
+  ``allow_estimate=True`` answers must be marked estimates whose
+  interval contains the truth.
+* ``ingest`` streams a seeded record set with planted poison rows into
+  a service, a rolling-window service or a cluster, crashes the ingest
+  coordinator at a seeded stage boundary, power-loses single-service
+  targets, resumes, and requires the cube to equal the oracle cell for
+  cell with every poison row dead-lettered exactly once.
 
-``--mode router`` soaks the adaptive query router
-(:class:`~repro.routing.QueryRouter`): a writer churns snapshot
-versions over a durable service while concurrent readers answer from
-the cache/rollup/RPS tiers, and **every answer must equal the
-per-version oracle at its own stamp** — one stale read fails the
-round. Mid-round a fault is armed that makes rollup *builds* fail
-(reader traffic is untouched); the round asserts the failed build
-degraded to the RPS fallback (failure counted, reads kept flowing,
-nothing raised) and that a later build succeeds once the fault heals.
+A new stack composition is one more row whose run function builds the
+stack, ``record``s each acknowledged group and ``check``s each answer.
 
-``--mode net`` soaks the TCP serving tier (:mod:`repro.net`) over real
-sockets: a :class:`~repro.net.CubeServer` fronts a durable service
-whose writer is slowed by injected apply latency, while concurrent
-client connections query, stream, and write through it — **every
-answer (and every stream chunk) must equal the per-version oracle at
-its own stamp**: one stale or partial read fails the round. Mid-round
-the harness also hammers a starved-quota tenant, fires malformed
-frames at the socket, and abruptly drops a connection; the server must
-answer each abuse with its documented wire error and keep serving
-everyone else. Backpressure rejections (``overloaded`` /
-``quota_exceeded``) are expected and retried per their
-``retry_after_s`` hint — any *other* error fails the round.
-
-``--mode ingest`` soaks the exactly-once streaming pipeline
-(:mod:`repro.ingest`): each round streams a seeded record set — with
-planted poison rows — into a durable service, a rolling-window service,
-or a live cluster, kills the ingest coordinator at a seeded stage
-boundary (chunk/encode/deadletter/intent/submit/checkpoint/roll),
-power-loses single-service targets (``abandon`` + ``recover``), resumes
-a fresh pipeline, and asserts the final cube is **bit-for-bit equal**
-to a never-crashed oracle with every poison row in the dead-letter file
-**exactly once**.
-
-``--mode cluster`` soaks a :class:`~repro.cluster.CubeCluster` instead:
-each round builds a seeded sharded/replicated cluster, drives
-interleaved queries and update groups while **killing a primary**
-(health monitor must fail over with zero acked-group loss),
-**partitioning a replica** (reads keep flowing; the healed replica is
-scrub-repaired), and **corrupting a replica's state** (the anti-entropy
-scrubber must detect and repair the divergence). Every answered query
-is checked against the oracle exactly; the round fails on any mismatch
-or on a scrub round that misses an injected divergence.
-
-``--mode reshard`` soaks live elastic resharding: each round drives a
-seeded cluster through a split or merge migration with update groups
-and exact oracle-checked reads injected **at every migration phase
-boundary** (plan, seed, tail_replay, dual_write, flip, verify, retire),
-while one of three faults fires — a coordinator crash at a chosen phase
-boundary, a migration-target node kill mid-dual-write, or none. A
-failed migration must roll back to the prior epoch with **zero
-acked-group loss** and the cluster must keep answering exactly; the
-retried migration must land on a strictly larger epoch. Rounds finish
-by killing a whole shard and verifying the degraded-read contract:
-``allow_estimate=True`` answers carry an explicit ``estimate=True``
-marker whose ``[low, high]`` interval contains the true acked sum,
-while exact-by-default still refuses.
-
-Every round is deterministic in ``(seed, round_index)``. On failure the
-round's WAL/checkpoint directory is preserved under ``--artifact-dir``
-(CI uploads it) together with a ``round.json`` describing the exact
-parameters, and the process exits nonzero.
+Every round is deterministic in ``(seed, round_index)``. A failed round
+keeps its state directory (WAL, checkpoints, dead letters) and a
+``round.json`` of its parameters under ``--artifact-dir``, and the
+process exits nonzero.
 
 Usage::
 
-    PYTHONPATH=src python tools/chaos_soak.py --seeds 0 1 2 \
+    PYTHONPATH=src python tools/chaos_soak.py --seeds 0 1 2 \\
         --time-budget 60 --artifact-dir chaos-artifacts
-    PYTHONPATH=src python tools/chaos_soak.py --mode cluster \
+    PYTHONPATH=src python tools/chaos_soak.py --mode cluster \\
         --seeds 0 1 --time-budget 60
 """
 
@@ -96,6 +73,7 @@ import threading
 import time
 import traceback
 from pathlib import Path
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 
@@ -106,22 +84,53 @@ from repro.faults import InjectedFault
 from repro.routing import QueryRouter
 from repro.routing.router import ServiceBackend
 from repro.serve import recover_state
-from repro.testing import assert_recovery_correct
-from repro.workloads import ClusterWorkloadRunner
-
-SHAPES = [(23,), (11, 9), (6, 5, 4)]
+from repro.testing import VersionOracle, assert_recovery_correct
+from repro.workloads import ClusterWorkloadRunner, random_group, random_ranges
 
 
-def _round_params(seed, round_index):
-    rng = np.random.default_rng([seed, round_index])
-    return rng, {
-        "seed": seed,
-        "round": round_index,
-        "scenario": ("crash", "torn-tail", "bad-checkpoint")[round_index % 3],
-        "shape": SHAPES[int(rng.integers(len(SHAPES)))],
-        "groups": int(rng.integers(8, 30)),
-        "checkpoint_every": int(rng.integers(1, 8)),
-    }
+def _ints(rng, **bounds):
+    """One ``rng.integers(low, high)`` draw per keyword, in order."""
+    return {name: int(rng.integers(*b)) for name, b in bounds.items()}
+
+
+def _boxes(rng, shape, count):
+    """``count`` random boxes drawn from ``rng``, as lows and highs."""
+    lows, highs = zip(*random_ranges(shape, count, seed=rng))
+    return list(lows), list(highs)
+
+
+def _assert_cube(oracle, array, what):
+    mismatches = oracle.check_array(array, oracle.version)
+    assert not mismatches, f"{what} diverged from the oracle: {mismatches[:3]}"
+
+
+def _service(params, cube, state_dir, fault_plan=None, **durability):
+    """A durable RPS service checkpointing at the round's cadence."""
+    durability.setdefault("checkpoint_every", params["checkpoint_every"])
+    return CubeService(
+        RelativePrefixSumCube,
+        cube,
+        durability=DurabilityPolicy(dir=state_dir, **durability),
+        fault_plan=fault_plan,
+    )
+
+
+def _cluster(params, cube, data_dir, fault_plan=None):
+    """The round's RPS cluster (2 shards x 2 replicas unless drawn)."""
+    return CubeCluster(
+        RelativePrefixSumCube,
+        cube,
+        data_dir=data_dir,
+        num_shards=params.get("num_shards", 2),
+        replication_factor=params.get("replication_factor", 2),
+        checkpoint_every=params["checkpoint_every"],
+        fault_plan=fault_plan,
+        breaker=BreakerPolicy(failure_threshold=2, cooldown_s=30.0),
+        seed=params["seed"],
+    )
+
+
+# -- single: crash / torn-tail / bad-checkpoint ---------------------------
 
 
 def _run_crash(rng, params, state_dir):
@@ -140,23 +149,18 @@ def _run_crash(rng, params, state_dir):
 
 def _feed(service, oracle, rng, count, shape):
     for _ in range(count):
-        cell = tuple(int(rng.integers(0, n)) for n in shape)
-        delta = int(rng.integers(-9, 10)) or 1
-        service.submit_batch([(cell, delta)])
-        oracle[cell] += delta
+        group = random_group(rng, shape, 1)
+        service.submit_batch(group)
+        oracle.record(group)
 
 
 def _run_torn_tail(rng, params, state_dir):
     shape = params["shape"]
     tear_at = int(rng.integers(2, params["groups"]))
     params["torn_write_at"] = tear_at
-    oracle = np.zeros(shape, dtype=np.int64)
-    service = CubeService(
-        RelativePrefixSumCube,
-        oracle.copy(),
-        durability=DurabilityPolicy(
-            dir=state_dir, checkpoint_every=params["checkpoint_every"]
-        ),
+    oracle = VersionOracle(np.zeros(shape, dtype=np.int64))
+    service = _service(
+        params, np.zeros(shape, dtype=np.int64), state_dir,
         fault_plan=FaultPlan(seed=params["seed"], torn_write_at=tear_at),
     )
     try:
@@ -170,15 +174,16 @@ def _run_torn_tail(rng, params, state_dir):
     finally:
         service.abandon()
     state = recover_state(state_dir)
-    assert state.version == tear_at - 1, (state.version, tear_at)
-    assert np.array_equal(state.method.to_array(), oracle)
+    assert state.version == oracle.version == tear_at - 1, (
+        state.version, tear_at,
+    )
+    _assert_cube(oracle, state.method.to_array(), "recovered state")
     # the resumed service truncates the tear and appends cleanly
     resumed = CubeService.recover(state_dir)
     try:
         _feed(resumed, oracle, rng, 2, shape)
         resumed.flush()
-        arr, _, _ = resumed._read(lambda m: m.to_array())
-        assert np.array_equal(arr, oracle)
+        _assert_cube(oracle, resumed.snapshot_array()[0], "resumed service")
     finally:
         resumed.close()
 
@@ -188,13 +193,10 @@ def _run_bad_checkpoint(rng, params, state_dir):
     # checkpoint every cycle, and flush twice so at least two non-seed
     # checkpoints exist — corrupting the newest must leave a fallback
     params["checkpoint_every"] = 1
-    oracle = np.zeros(shape, dtype=np.int64)
-    service = CubeService(
-        RelativePrefixSumCube,
-        oracle.copy(),
-        durability=DurabilityPolicy(
-            dir=state_dir, checkpoint_every=1, keep_checkpoints=2
-        ),
+    oracle = VersionOracle(np.zeros(shape, dtype=np.int64))
+    service = _service(
+        params, np.zeros(shape, dtype=np.int64), state_dir,
+        keep_checkpoints=2,
     )
     try:
         half = max(1, params["groups"] // 2)
@@ -211,33 +213,19 @@ def _run_bad_checkpoint(rng, params, state_dir):
     blob[int(rng.integers(len(blob)))] ^= 0xFF
     target.write_bytes(bytes(blob))
     params["corrupted_checkpoint"] = target.name
-    state = recover_state(state_dir)
-    assert np.array_equal(state.method.to_array(), oracle)
+    _assert_cube(
+        oracle, recover_state(state_dir).method.to_array(), "recovered state"
+    )
 
 
-SCENARIOS = {
+SINGLE_SCENARIOS = {
     "crash": _run_crash,
     "torn-tail": _run_torn_tail,
     "bad-checkpoint": _run_bad_checkpoint,
 }
 
-CLUSTER_SHAPES = [(16, 9), (12, 7, 5)]
 
-
-def _cluster_round_params(seed, round_index):
-    rng = np.random.default_rng([seed, round_index, 1000])
-    shape = CLUSTER_SHAPES[int(rng.integers(len(CLUSTER_SHAPES)))]
-    return rng, {
-        "seed": seed,
-        "round": round_index,
-        "scenario": "cluster",
-        "shape": shape,
-        "num_shards": int(rng.integers(2, min(4, shape[0]) + 1)),
-        "replication_factor": int(rng.integers(2, 4)),
-        "groups": int(rng.integers(10, 25)),
-        "queries": int(rng.integers(10, 25)),
-        "checkpoint_every": int(rng.integers(1, 8)),
-    }
+# -- cluster: kill / partition / corrupt / heal ---------------------------
 
 
 def _run_cluster(rng, params, state_dir):
@@ -245,40 +233,16 @@ def _run_cluster(rng, params, state_dir):
     shape = params["shape"]
     cube = rng.integers(0, 50, shape).astype(np.int64)
     plan = FaultPlan(seed=params["seed"])
-    cluster = CubeCluster(
-        RelativePrefixSumCube,
-        cube,
-        data_dir=state_dir,
-        num_shards=params["num_shards"],
-        replication_factor=params["replication_factor"],
-        checkpoint_every=params["checkpoint_every"],
-        fault_plan=plan,
-        breaker=BreakerPolicy(failure_threshold=2, cooldown_s=30.0),
-        seed=params["seed"],
-    )
+    cluster = _cluster(params, cube, state_dir, plan)
     runner = ClusterWorkloadRunner(cluster, cube.astype(np.float64))
-
-    def random_group():
-        group = []
-        for _ in range(int(rng.integers(1, 6))):
-            cell = tuple(int(rng.integers(0, n)) for n in shape)
-            group.append((cell, float(rng.integers(-9, 10) or 1)))
-        return group
-
-    def random_queries(count):
-        queries = []
-        for _ in range(count):
-            low, high = [], []
-            for n in shape:
-                a, b = sorted(int(x) for x in rng.integers(0, n, size=2))
-                low.append(a)
-                high.append(b)
-            queries.append((tuple(low), tuple(high)))
-        return queries
 
     def drive(queries, groups):
         result = runner.run(
-            random_queries(queries), [random_group() for _ in range(groups)]
+            list(random_ranges(shape, queries, seed=rng)),
+            [
+                random_group(rng, shape, int(rng.integers(1, 6)))
+                for _ in range(groups)
+            ],
         )
         assert result.mismatches == 0, f"{result.mismatches} wrong answers"
         return result
@@ -340,7 +304,7 @@ def _run_cluster(rng, params, state_dir):
         cluster.close()
 
 
-ROUTER_SHAPES = [(24,), (12, 10), (6, 5, 4)]
+# -- router: writer churn + build failures + cached readers ---------------
 
 #: reader pages stay at or below this many boxes; a rollup build at
 #: granularity 2 queries every block of the cube in one batch, which is
@@ -358,12 +322,8 @@ class _BuildFaultBackend:
 
     def __init__(self, backend):
         self._backend = backend
-        self.shape = backend.shape
         self.armed = False
         self.injected = 0
-
-    def current_stamp(self):
-        return self._backend.current_stamp()
 
     def query_many(self, lows, highs, deadline=None):
         if self.armed and len(lows) > ROUTER_PAGE_BOXES:
@@ -375,70 +335,24 @@ class _BuildFaultBackend:
         return getattr(self._backend, name)
 
 
-def _box_sum(state, lo, hi):
-    sl = tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
-    return float(state[sl].sum())
-
-
-def _router_round_params(seed, round_index):
-    rng = np.random.default_rng([seed, round_index, 2000])
-    return rng, {
-        "seed": seed,
-        "round": round_index,
-        "scenario": "router",
-        "shape": ROUTER_SHAPES[int(rng.integers(len(ROUTER_SHAPES)))],
-        "groups": int(rng.integers(30, 60)),
-        "readers": int(rng.integers(2, 4)),
-        "flush_every": int(rng.integers(3, 8)),
-        "build_every": int(rng.integers(5, 12)),
-        "checkpoint_every": int(rng.integers(1, 8)),
-    }
-
-
 def _run_router(rng, params, state_dir):
     """Writer churn + injected build failures + concurrent cached
     readers; every routed answer must match the oracle at its stamp."""
     shape = params["shape"]
     cube = rng.integers(0, 50, shape).astype(np.float64)
-
-    # precompute the whole write stream and the exact per-version states
-    groups, states = [], [cube.copy()]
-    for _ in range(params["groups"]):
-        group = [
-            (
-                tuple(int(rng.integers(0, n)) for n in shape),
-                float(rng.integers(-9, 10) or 1),
-            )
-            for _ in range(int(rng.integers(1, 4)))
-        ]
-        groups.append(group)
-        state = states[-1].copy()
-        for cell, delta in group:
-            state[cell] += delta
-        states.append(state)
-
-    pages = []
-    for _ in range(3):
-        lows, highs = [], []
-        for _ in range(ROUTER_PAGE_BOXES):
-            lo, hi = [], []
-            for n in shape:
-                a, b = sorted(int(x) for x in rng.integers(0, n, size=2))
-                lo.append(a)
-                hi.append(b)
-            lows.append(lo)
-            highs.append(hi)
-        pages.append((np.array(lows), np.array(highs)))
+    oracle = VersionOracle(cube)
+    groups = [
+        random_group(rng, shape, int(rng.integers(1, 4)))
+        for _ in range(params["groups"])
+    ]
+    pages = [
+        tuple(map(np.array, _boxes(rng, shape, ROUTER_PAGE_BOXES)))
+        for _ in range(3)
+    ]
 
     errors = []
     stop = threading.Event()
-    service = CubeService(
-        RelativePrefixSumCube,
-        cube,
-        durability=DurabilityPolicy(
-            dir=state_dir, checkpoint_every=params["checkpoint_every"]
-        ),
-    )
+    service = _service(params, cube, state_dir)
     backend = _BuildFaultBackend(ServiceBackend(service))
     try:
         with QueryRouter(
@@ -449,19 +363,16 @@ def _run_router(rng, params, state_dir):
                 page_lows, page_highs = pages[page_index % len(pages)]
                 while not stop.is_set():
                     batch = router.route_many(page_lows, page_highs)
-                    for lo, hi, value, stamp, tier in zip(
-                        page_lows, page_highs, batch.values,
-                        batch.stamps, batch.tiers,
-                    ):
-                        expect = _box_sum(states[stamp], lo, hi)
-                        if value != expect:
-                            errors.append({
-                                "box": (tuple(lo), tuple(hi)),
-                                "tier": tier, "stamp": int(stamp),
-                                "value": float(value), "expect": expect,
-                            })
-                            stop.set()
-                            return
+                    mismatches = oracle.check(
+                        page_lows, page_highs, batch.values, batch.stamps
+                    )
+                    if mismatches:
+                        errors.extend(
+                            dict(m, tier=batch.tiers[m["index"]])
+                            for m in mismatches
+                        )
+                        stop.set()
+                        return
 
             threads = [
                 threading.Thread(target=reader, args=(i,))
@@ -469,20 +380,20 @@ def _run_router(rng, params, state_dir):
             ]
             for t in threads:
                 t.start()
-            fault_window = (
+            fault_from, fault_until = (
                 params["groups"] // 3, 2 * params["groups"] // 3
             )
             degraded_builds = 0
             for i, group in enumerate(groups):
                 if stop.is_set():
                     break
+                # recorded before the submit: no reader can observe a
+                # version the oracle does not know yet
+                oracle.record(group)
                 router.submit_batch(group)
                 if i % params["flush_every"] == 0:
                     router.flush()
-                if i == fault_window[0]:
-                    backend.armed = True
-                if i == fault_window[1]:
-                    backend.armed = False
+                backend.armed = fault_from <= i < fault_until
                 if i % params["build_every"] == 0:
                     built = router.build_rollup(2)
                     if built is None:
@@ -502,14 +413,7 @@ def _run_router(rng, params, state_dir):
                 "rollup build still failing after the fault healed"
             )
             stats = router.stats()["router"]
-            params["router_stats"] = {
-                k: stats[k]
-                for k in (
-                    "queries_routed", "cache_hits", "batch_hits",
-                    "rollup_hits", "backend_queries",
-                    "rollup_builds", "rollup_build_failures",
-                )
-            }
+            params["router_stats"] = stats
             params["degraded_builds"] = degraded_builds
             assert backend.injected >= 1, (
                 "round never armed a build failure"
@@ -523,19 +427,17 @@ def _run_router(rng, params, state_dir):
 
             # quiesced differential: a fresh full-cube read through the
             # router equals the final oracle exactly
-            final = router.route_many(
-                [np.zeros(len(shape), dtype=int)],
-                [[n - 1 for n in shape]],
+            full_lo, full_hi = [(0,) * len(shape)], [tuple(n - 1 for n in shape)]
+            final = router.route_many(full_lo, full_hi)
+            mismatches = oracle.check(
+                full_lo, full_hi, final.values, oracle.version
             )
-            expect = float(states[-1].sum())
-            assert final.values[0] == expect, (
-                f"final routed read {final.values[0]} != oracle {expect}"
-            )
+            assert not mismatches, f"final routed read: {mismatches}"
     finally:
         service.close()
 
 
-RESHARD_SHAPES = [(16, 9), (18, 5), (12, 4, 3)]
+# -- reshard: live split/merge with phase-boundary faults -----------------
 
 #: migration phases a coordinator crash can be injected at ("retire" is
 #: excluded: past retire the migration is already durable and complete)
@@ -544,31 +446,21 @@ RESHARD_FAIL_PHASES = (
 )
 
 
-def _reshard_round_params(seed, round_index):
-    rng = np.random.default_rng([seed, round_index, 4000])
-    shape = RESHARD_SHAPES[int(rng.integers(len(RESHARD_SHAPES)))]
-    num_shards = int(rng.integers(2, 4))
-    fault = ("none", "crash", "kill-target")[round_index % 3]
-    return rng, {
-        "seed": seed,
-        "round": round_index,
-        "scenario": "reshard",
-        "shape": shape,
-        "num_shards": num_shards,
-        "replication_factor": 2,
-        "op": ("split", "merge")[int(rng.integers(2))],
-        "fault": fault,
-        "fail_phase": (
-            RESHARD_FAIL_PHASES[
-                int(rng.integers(len(RESHARD_FAIL_PHASES)))
-            ]
+def _reshard_draw(rng, params):
+    fault = ("none", "crash", "kill-target")[params["round"] % 3]
+    drawn = _ints(rng, num_shards=(2, 4))
+    drawn.update(
+        replication_factor=2,
+        op=("split", "merge")[int(rng.integers(2))],
+        fault=fault,
+        fail_phase=(
+            RESHARD_FAIL_PHASES[int(rng.integers(len(RESHARD_FAIL_PHASES)))]
             if fault == "crash"
             else None
         ),
-        "groups": int(rng.integers(6, 16)),
-        "queries": int(rng.integers(8, 16)),
-        "checkpoint_every": int(rng.integers(1, 8)),
-    }
+    )
+    drawn.update(_ints(rng, groups=(6, 16), queries=(8, 16)))
+    return drawn
 
 
 def _run_reshard(rng, params, state_dir):
@@ -580,45 +472,27 @@ def _run_reshard(rng, params, state_dir):
 
     shape = params["shape"]
     cube = rng.integers(0, 50, shape).astype(np.int64)
-    oracle = cube.astype(np.float64)
+    oracle = VersionOracle(cube.astype(np.float64))
     plan = FaultPlan(seed=params["seed"])
-    cluster = CubeCluster(
-        RelativePrefixSumCube,
-        cube,
-        data_dir=state_dir,
-        num_shards=params["num_shards"],
-        replication_factor=params["replication_factor"],
-        checkpoint_every=params["checkpoint_every"],
-        fault_plan=plan,
-        breaker=BreakerPolicy(failure_threshold=2, cooldown_s=30.0),
-        seed=params["seed"],
-    )
+    cluster = _cluster(params, cube, state_dir, plan)
+
+    def write(group):
+        # the oracle records exactly the acked groups: an unacked submit
+        # raises before the record, so a lost acked group (or a
+        # double-applied one) shows up as a query mismatch
+        cluster.submit_batch(group)
+        oracle.record(group)
 
     def write_group():
-        # oracle absorbs exactly the acked groups: an unacked submit
-        # raises before the oracle update, so a lost acked group (or a
-        # double-applied one) shows up as a query mismatch
-        group = []
-        for _ in range(int(rng.integers(1, 5))):
-            cell = tuple(int(rng.integers(0, n)) for n in shape)
-            group.append((cell, float(rng.integers(-9, 10) or 1)))
-        cluster.submit_batch(group)
-        for cell, delta in group:
-            oracle[cell] += delta
+        write(random_group(rng, shape, int(rng.integers(1, 5))))
 
     def check_exact(count):
-        for _ in range(count):
-            low, high = [], []
-            for n in shape:
-                a, b = sorted(int(x) for x in rng.integers(0, n, size=2))
-                low.append(a)
-                high.append(b)
-            got = cluster.range_sum(tuple(low), tuple(high))
-            expect = _box_sum(oracle, low, high)
-            assert got == expect, (
-                f"stale/lossy answer at epoch {cluster.epoch}: "
-                f"box ({low}, {high}) got {got} expect {expect}"
-            )
+        lows, highs = _boxes(rng, shape, count)
+        values = [cluster.range_sum(lo, hi) for lo, hi in zip(lows, highs)]
+        mismatches = oracle.check(lows, highs, values, oracle.version)
+        assert not mismatches, (
+            f"stale/lossy answer at epoch {cluster.epoch}: {mismatches[:3]}"
+        )
 
     phases_seen = []
 
@@ -657,12 +531,10 @@ def _run_reshard(rng, params, state_dir):
             t_start, t_stop = cluster.stats()["migration"][
                 "target_bounds"
             ][pick]
-            cell = (int(rng.integers(t_start, t_stop)),) + tuple(
-                int(rng.integers(0, n)) for n in shape[1:]
+            [(cell, delta)] = random_group(
+                rng, (t_stop - t_start,) + shape[1:], 1
             )
-            delta = float(rng.integers(1, 9))
-            cluster.submit_batch([(cell, delta)])
-            oracle[cell] += delta
+            write([((cell[0] + t_start,) + cell[1:], delta)])
 
     def run_migration(expect_failure):
         op = params["op"]
@@ -672,21 +544,14 @@ def _run_reshard(rng, params, state_dir):
             widths = [
                 stop - start for start, stop in cluster.shardmap.bounds
             ]
-            shard = int(np.argmax(widths))
-            action = lambda: cluster.split_shard(  # noqa: E731
-                shard, phase_hook=phase_hook
-            )
+            migrate, shard = cluster.split_shard, int(np.argmax(widths))
         else:
-            shard = int(
-                rng.integers(cluster.shardmap.num_shards - 1)
-            )
-            action = lambda: cluster.merge_shards(  # noqa: E731
-                shard, phase_hook=phase_hook
-            )
+            migrate = cluster.merge_shards
+            shard = int(rng.integers(cluster.shardmap.num_shards - 1))
         if not expect_failure:
-            return action()
+            return migrate(shard, phase_hook=phase_hook)
         try:
-            action()
+            migrate(shard, phase_hook=phase_hook)
         except ReshardError as error:
             assert error.rolled_back, (
                 f"migration failed without rollback: {error}"
@@ -731,10 +596,7 @@ def _run_reshard(rng, params, state_dir):
             plan.reshard_fail_at = frozenset()
 
         summary = run_migration(expect_failure=False)
-        params["migration"] = {
-            k: summary[k]
-            for k in ("kind", "old_epoch", "new_epoch", "num_shards")
-        }
+        params["migration"] = summary
         assert summary["new_epoch"] > epoch_before, (
             f"epoch did not advance: {summary}"
         )
@@ -758,75 +620,45 @@ def _run_reshard(rng, params, state_dir):
             raise AssertionError(
                 "exact read over a dead shard did not refuse"
             )
-        lows = [full_low]
-        highs = [full_high]
-        for _ in range(4):
-            low, high = [], []
-            for n in shape:
-                a, b = sorted(int(x) for x in rng.integers(0, n, size=2))
-                low.append(a)
-                high.append(b)
-            lows.append(tuple(low))
-            highs.append(tuple(high))
+        lows, highs = _boxes(rng, shape, 4)
+        lows.insert(0, full_low)
+        highs.insert(0, full_high)
         values, estimates = cluster.range_sum_many(
             lows, highs, allow_estimate=True
         )
-        marked = 0
-        for low, high, value, estimate in zip(
-            lows, highs, values, estimates
-        ):
-            expect = _box_sum(oracle, low, high)
-            if estimate is None:
-                assert value == expect, (
-                    f"undegraded slot inexact: {value} != {expect}"
-                )
-            else:
-                marked += 1
-                assert estimate.estimate is True, estimate
-                assert estimate.low <= expect <= estimate.high, (
-                    f"estimate interval [{estimate.low}, "
-                    f"{estimate.high}] misses truth {expect}"
-                )
-                assert estimate.epoch == cluster.epoch
-        assert marked >= 1, "full-cube read over a dead shard not marked"
-        params["degraded_answers"] = marked
+        mismatches = oracle.check(
+            lows, highs, values, oracle.version, estimates=estimates
+        )
+        assert not mismatches, f"degraded read broke its bound: {mismatches}"
+        marked = [e for e in estimates if e is not None]
+        assert all(e.epoch == cluster.epoch for e in marked), marked
+        assert marked, "full-cube read over a dead shard not marked"
+        params["degraded_answers"] = len(marked)
         params["phases_seen"] = phases_seen
-        params["metrics"] = {
-            k: cluster.stats()["metrics"][k]
-            for k in (
-                "reshards_started", "reshard_flips",
-                "reshard_rollbacks", "dual_writes", "degraded_reads",
-            )
-        }
+        params["metrics"] = cluster.stats()["metrics"]
     finally:
         cluster.close()
 
+
+# -- ingest: coordinator crash + resume, exactly once ---------------------
 
 INGEST_STAGES = (
     "chunk", "encode", "deadletter", "intent", "submit", "checkpoint",
 )
 
 
-def _ingest_round_params(seed, round_index):
-    rng = np.random.default_rng([seed, round_index, 5000])
-    target = ("service", "rolling", "cluster")[round_index % 3]
+def _ingest_draw(rng, params):
+    target = ("service", "rolling", "cluster")[params["round"] % 3]
     stages = INGEST_STAGES + (("roll",) if target == "rolling" else ())
-    return rng, {
-        "seed": seed,
-        "round": round_index,
-        "scenario": "ingest",
-        "target": target,
-        "size": int(rng.integers(6, 12)),
-        "rows": int(rng.integers(200, 500)),
-        "poison": int(rng.integers(1, 4)),
-        "crash_stage": stages[int(rng.integers(len(stages)))],
-        "crash_ordinal": int(rng.integers(1, 4)),
-        # <= 96 keeps any group's day span under the rolling window
-        # even after poison inserts shift offsets, so the row-at-a-time
-        # oracle stays valid (no intra-group expiry)
-        "group_rows": int(rng.choice([64, 96])),
-        "checkpoint_every": int(rng.integers(1, 8)),
-    }
+    drawn = {"target": target}
+    drawn.update(_ints(rng, size=(6, 12), rows=(200, 500), poison=(1, 4)))
+    drawn["crash_stage"] = stages[int(rng.integers(len(stages)))]
+    drawn.update(_ints(rng, crash_ordinal=(1, 4)))
+    # <= 96 keeps any group's day span under the rolling window even
+    # after poison inserts shift offsets, so the row-at-a-time oracle
+    # stays valid (no intra-group expiry)
+    drawn["group_rows"] = int(rng.choice([64, 96]))
+    return drawn
 
 
 def _run_ingest(rng, params, state_dir):
@@ -848,71 +680,51 @@ def _run_ingest(rng, params, state_dir):
     size = params["size"]
     rolling = params["target"] == "rolling"
     window = 4
-
+    axes = ("x",) if rolling else ("x", "y")
+    schema = CubeSchema(
+        [Dimension(a, IntegerEncoder(0, size - 1)) for a in axes], "sales"
+    )
     records = []
-    if rolling:
-        schema = CubeSchema(
-            [Dimension("x", IntegerEncoder(0, size - 1))], "sales"
-        )
-        # deterministic day ladder: one day per 32 rows keeps every
-        # fixed-size group's slot span below the window, so the
-        # row-at-a-time oracle below matches group-at-a-time rolls
-        for i in range(params["rows"]):
-            records.append({
-                "day": i // 32,
-                "x": int(rng.integers(0, size)),
-                "sales": float(rng.integers(1, 10)),
-            })
-    else:
-        schema = CubeSchema(
-            [
-                Dimension("x", IntegerEncoder(0, size - 1)),
-                Dimension("y", IntegerEncoder(0, size - 1)),
-            ],
-            "sales",
-        )
-        for i in range(params["rows"]):
-            records.append({
-                "x": int(rng.integers(0, size)),
-                "y": int(rng.integers(0, size)),
-                "sales": float(rng.integers(1, 10)),
-            })
+    for i in range(params["rows"]):
+        record = {a: int(rng.integers(0, size)) for a in axes}
+        record["sales"] = float(rng.integers(1, 10))
+        if rolling:
+            # deterministic day ladder: one day per 32 rows keeps every
+            # fixed-size group's slot span below the window, so the
+            # row-at-a-time oracle below matches group-at-a-time rolls
+            record = {"day": i // 32, **record}
+        records.append(record)
     poison_offsets = sorted(
         int(x) for x in rng.choice(
             np.arange(1, len(records)), size=params["poison"], replace=False
         )
     )
-    for n, offset in enumerate(poison_offsets):
+    for offset in poison_offsets:
         records.insert(offset, {"x": 10 * size, "y": 0, "sales": 1.0})
     if rolling:
         # plus a hopelessly late arrival after the window moved on
         records.append({"day": 0, "x": 0, "sales": 1.0})
 
-    # -- oracle ----------------------------------------------------------
-    expected_dead = []
-    if rolling:
-        expected = np.zeros((window, size))
-        newest = 0
-        for i, r in enumerate(records):
-            if "day" not in r or r.get("x", size) >= size:
-                expected_dead.append(i)
-                continue
-            day = r["day"]
-            if day > newest:
-                for s in range(newest + 1, day + 1):
-                    expected[s % window] = 0.0
-                newest = day
-            if day < max(0, newest - window + 1):
-                expected_dead.append(i)
-                continue
-            expected[day % window, r["x"]] += r["sales"]
-    else:
-        expected = np.zeros((size, size))
-        for i, r in enumerate(records):
-            if r["x"] >= size:
-                expected_dead.append(i)
-            else:
-                expected[r["x"], r["y"]] += r["sales"]
+    # -- oracle: poison rows and rows older than the window when they
+    # arrive are dead letters; of the rest, the ones still inside the
+    # final window land in their slot, as one acked group in row order
+    expected_dead, kept, newest = [], [], 0
+    for i, r in enumerate(records):
+        if r["x"] >= size or (rolling and "day" not in r):
+            expected_dead.append(i)
+        elif rolling and r["day"] <= newest - window:
+            expected_dead.append(i)
+        else:
+            newest = max(newest, r.get("day", 0))
+            kept.append(r)
+    shape = (window, size) if rolling else (size, size)
+    oracle = VersionOracle(np.zeros(shape))
+    oracle.record(
+        ((r["day"] % window, r["x"]) if rolling else (r["x"], r["y"]),
+         r["sales"])
+        for r in kept
+        if not rolling or r["day"] > newest - window
+    )
 
     ck = state_dir / "ingest-ck.json"
     dl = state_dir / "ingest-dead.log"
@@ -940,12 +752,7 @@ def _run_ingest(rng, params, state_dir):
     crashed = False
 
     if params["target"] == "cluster":
-        cluster = CubeCluster(
-            RelativePrefixSumCube, np.zeros((size, size)),
-            data_dir=state_dir / "cluster", num_shards=2,
-            replication_factor=2,
-            checkpoint_every=params["checkpoint_every"],
-        )
+        cluster = _cluster(params, np.zeros(shape), state_dir / "cluster")
         try:
             try:
                 with pipe(ClusterTarget(cluster), plan) as p:
@@ -955,31 +762,24 @@ def _run_ingest(rng, params, state_dir):
             with pipe(ClusterTarget(cluster)) as p:
                 report = p.run()
             cluster.flush()
-            lows, highs = [], []
-            for x in range(size):
-                for y in range(size):
-                    lows.append((x, y))
-                    highs.append((x, y))
+            cells = np.argwhere(np.ones(shape, dtype=bool))
             actual = np.asarray(
-                cluster.range_sum_many(lows, highs), dtype=float
-            ).reshape((size, size))
+                cluster.range_sum_many(cells, cells), dtype=float
+            ).reshape(shape)
         finally:
             cluster.close()
     else:
         svc_dir = state_dir / "svc"
-        shape = (window, size) if rolling else (size, size)
-        service = CubeService(
-            RelativePrefixSumCube, np.zeros(shape),
-            durability=DurabilityPolicy(
-                dir=svc_dir, checkpoint_every=params["checkpoint_every"]
-            ),
-        )
-        target = (
-            RollingServiceTarget(RollingCubeService(service))
-            if rolling else ServiceTarget(service)
-        )
+        service = _service(params, np.zeros(shape), svc_dir)
+
+        def target_for(svc):
+            return (
+                RollingServiceTarget(RollingCubeService(svc))
+                if rolling else ServiceTarget(svc)
+            )
+
         try:
-            with pipe(target, plan) as p:
+            with pipe(target_for(service), plan) as p:
                 p.run()
         except InjectedFault:
             crashed = True
@@ -987,11 +787,7 @@ def _run_ingest(rng, params, state_dir):
 
         recovered = CubeService.recover(svc_dir, RelativePrefixSumCube)
         try:
-            target = (
-                RollingServiceTarget(RollingCubeService(recovered))
-                if rolling else ServiceTarget(recovered)
-            )
-            with pipe(target) as p:
+            with pipe(target_for(recovered)) as p:
                 report = p.run()
             recovered.flush()
             actual, _ = recovered.snapshot_array()
@@ -999,15 +795,8 @@ def _run_ingest(rng, params, state_dir):
             recovered.close()
 
     params["crashed"] = crashed
-    params["report"] = {
-        k: report[k]
-        for k in ("offset", "rows_quarantined", "resumes", "fence_skips",
-                  "partial_resubmits", "groups_submitted")
-    }
-    assert np.array_equal(actual, expected), (
-        f"resumed cube diverged from oracle by "
-        f"{np.abs(actual - expected).sum()}"
-    )
+    params["report"] = report
+    _assert_cube(oracle, actual, "resumed cube")
     dead = read_dead_letters(dl)
     got_dead = sorted(e["offset"] for e in dead)
     assert got_dead == expected_dead, (
@@ -1017,23 +806,7 @@ def _run_ingest(rng, params, state_dir):
     assert report["offset"] == len(records)
 
 
-NET_SHAPES = [(24,), (12, 10), (6, 5, 4)]
-
-
-def _net_round_params(seed, round_index):
-    rng = np.random.default_rng([seed, round_index, 3000])
-    return rng, {
-        "seed": seed,
-        "round": round_index,
-        "scenario": "net",
-        "shape": NET_SHAPES[int(rng.integers(len(NET_SHAPES)))],
-        "groups": int(rng.integers(20, 40)),
-        "readers": int(rng.integers(2, 4)),
-        "flush_every": int(rng.integers(3, 8)),
-        "max_inflight": int(rng.integers(2, 5)),
-        "latency_groups": int(rng.integers(1, 4)),
-        "checkpoint_every": int(rng.integers(1, 8)),
-    }
+# -- net: socket clients, injected latency, abuse -------------------------
 
 
 def _run_net(rng, params, state_dir):
@@ -1043,33 +816,17 @@ def _run_net(rng, params, state_dir):
     import socket
     import struct
 
-    from repro.errors import (
-        AuthError,
-        ProtocolError,
-        QuotaExceededError,
-        ServiceOverloadedError,
-    )
+    from repro.errors import QuotaExceededError, ServiceOverloadedError
     from repro.net import Authenticator, CubeClient, CubeServer, Tenant
     from repro.net.protocol import encode_frame
 
     shape = params["shape"]
     cube = rng.integers(0, 50, shape).astype(np.float64)
-
-    # the write stream and its exact per-version states, precomputed
-    groups, states = [], [cube.copy()]
-    for _ in range(params["groups"]):
-        group = [
-            (
-                tuple(int(rng.integers(0, n)) for n in shape),
-                float(rng.integers(-9, 10) or 1),
-            )
-            for _ in range(int(rng.integers(1, 4)))
-        ]
-        groups.append(group)
-        state = states[-1].copy()
-        for cell, delta in group:
-            state[cell] += delta
-        states.append(state)
+    oracle = VersionOracle(cube)
+    groups = [
+        random_group(rng, shape, int(rng.integers(1, 4)))
+        for _ in range(params["groups"])
+    ]
 
     # slow the writer on a few random groups so readers race a lagging
     # version — the stamp check below is what makes that race safe
@@ -1085,35 +842,14 @@ def _run_net(rng, params, state_dir):
     )
     params["latency_at"] = latency_at
 
-    def page(page_rng, boxes=3):
-        lows, highs = [], []
-        for _ in range(boxes):
-            lo, hi = [], []
-            for n in shape:
-                a, b = sorted(int(x) for x in page_rng.integers(0, n, size=2))
-                lo.append(a)
-                hi.append(b)
-            lows.append(lo)
-            highs.append(hi)
-        return lows, highs
+    def check(lows, highs, values, stamp, where):
+        errors.extend(
+            dict(m, where=where)
+            for m in oracle.check(lows, highs, values, stamp)
+        )
 
-    def check(lows, highs, values, stamp, errors, where):
-        state = states[int(stamp)]
-        for lo, hi, value in zip(lows, highs, values):
-            expect = _box_sum(state, lo, hi)
-            if value != expect:
-                errors.append({
-                    "where": where, "box": (tuple(lo), tuple(hi)),
-                    "stamp": int(stamp), "value": float(value),
-                    "expect": expect,
-                })
-
-    service = CubeService(
-        RelativePrefixSumCube,
-        cube,
-        durability=DurabilityPolicy(
-            dir=state_dir, checkpoint_every=params["checkpoint_every"]
-        ),
+    service = _service(
+        params, cube, state_dir,
         fault_plan=FaultPlan(
             seed=params["seed"], latency_at=latency_at,
             latency_seconds=0.05,
@@ -1135,56 +871,63 @@ def _run_net(rng, params, state_dir):
         "reads": 0, "stream_chunks": 0, "overloaded": 0, "quota": 0,
     }
 
+    async def retry_overload(op):
+        """Clients must survive admission rejections: back off per the
+        server's hint and retry."""
+        while True:
+            try:
+                return await op()
+            except ServiceOverloadedError as error:
+                counts["overloaded"] += 1
+                await asyncio.sleep(
+                    getattr(error, "retry_after_s", 0.0) or 0.01
+                )
+
+    async def read_stream(client, lows, highs, where):
+        # every chunk checks against its own stamp, and coverage must be
+        # complete — a missing chunk is a partial read
+        seen = 0
+        async for offset, values, stamp in client.stream_range_sums(
+            lows, highs, chunk=2
+        ):
+            if offset != seen:
+                errors.append({
+                    "where": where, "gap_at": seen, "got_offset": offset,
+                })
+                return
+            check(
+                lows[offset:offset + len(values)],
+                highs[offset:offset + len(values)],
+                values, stamp, where,
+            )
+            seen += len(values)
+            counts["stream_chunks"] += 1
+        if seen != len(lows) and not errors:
+            errors.append({
+                "where": where, "partial": f"{seen}/{len(lows)} boxes",
+            })
+
     async def reader(stop, reader_id):
         reader_rng = np.random.default_rng(
             [params["seed"], params["round"], reader_id]
         )
+        where = f"reader{reader_id}"
         client = await CubeClient.connect(
             server.host, server.port, token="soak-token"
         )
         try:
             while not stop.is_set() and not errors:
-                lows, highs = page(reader_rng)
-                try:
-                    if reader_rng.integers(4) == 0:
-                        # streaming path: every chunk checks against its
-                        # own stamp, and coverage must be complete — a
-                        # missing chunk is a partial read
-                        seen = 0
-                        async for offset, values, stamp in (
-                            client.stream_range_sums(lows, highs, chunk=2)
-                        ):
-                            if offset != seen:
-                                errors.append({
-                                    "where": f"reader{reader_id}-stream",
-                                    "gap_at": seen, "got_offset": offset,
-                                })
-                                break
-                            check(
-                                lows[offset:offset + len(values)],
-                                highs[offset:offset + len(values)],
-                                values, stamp, errors,
-                                f"reader{reader_id}-stream",
-                            )
-                            seen += len(values)
-                            counts["stream_chunks"] += 1
-                        if seen != len(lows) and not errors:
-                            errors.append({
-                                "where": f"reader{reader_id}-stream",
-                                "partial": f"{seen}/{len(lows)} boxes",
-                            })
-                    else:
-                        values, stamp = await client.range_sum_many(
-                            lows, highs
-                        )
-                        check(lows, highs, values, stamp, errors,
-                              f"reader{reader_id}")
-                        counts["reads"] += 1
-                except ServiceOverloadedError as error:
-                    counts["overloaded"] += 1
-                    await asyncio.sleep(
-                        getattr(error, "retry_after_s", 0.0) or 0.01
+                lows, highs = _boxes(reader_rng, shape, 3)
+                if reader_rng.integers(4) == 0:
+                    await retry_overload(lambda: read_stream(
+                        client, lows, highs, where + "-stream"
+                    ))
+                else:
+                    values, stamp = await retry_overload(
+                        lambda: client.range_sum_many(lows, highs)
                     )
+                    check(lows, highs, values, stamp, where)
+                    counts["reads"] += 1
         finally:
             await client.close()
 
@@ -1197,7 +940,9 @@ def _run_net(rng, params, state_dir):
         try:
             while not stop.is_set() and not errors:
                 try:
-                    await client.ping()
+                    # admission control fires before quota (it is the
+                    # cheaper check); back off from it and keep hammering
+                    await retry_overload(client.ping)
                 except QuotaExceededError as error:
                     counts["quota"] += 1
                     if error.retry_after_s <= 0.0:
@@ -1206,36 +951,21 @@ def _run_net(rng, params, state_dir):
                             "bad_retry_after": error.retry_after_s,
                         })
                     await asyncio.sleep(0.02)
-                except ServiceOverloadedError:
-                    # admission control fires before quota (it is the
-                    # cheaper check); back off and keep hammering
-                    counts["overloaded"] += 1
-                    await asyncio.sleep(0.01)
                 else:
                     await asyncio.sleep(0.005)
         finally:
             await client.close()
 
-    async def retry_overload(op):
-        """The writer must survive admission rejections: back off per
-        the server's hint and resubmit."""
-        while True:
-            try:
-                return await op()
-            except ServiceOverloadedError as error:
-                counts["overloaded"] += 1
-                await asyncio.sleep(
-                    getattr(error, "retry_after_s", 0.0) or 0.01
-                )
+    def reply(sock):
+        (length,) = struct.unpack("!I", sock.recv(4))
+        return json.loads(sock.recv(length))
 
     def abuse_sockets():
         """Malformed frame -> typed error; bad token -> auth_failed;
         abrupt disconnect -> server unaffected. Sync, on raw sockets."""
         with socket.create_connection(server.address, timeout=5.0) as sock:
             sock.sendall(struct.pack("!I", 9) + b"not json!")
-            header = sock.recv(4)
-            (length,) = struct.unpack("!I", header)
-            frame = json.loads(sock.recv(length))
+            frame = reply(sock)
             assert frame["error"]["code"] == "bad_request", frame
         with socket.create_connection(server.address, timeout=5.0) as sock:
             # admission control outranks auth, so a busy server may
@@ -1244,9 +974,7 @@ def _run_net(rng, params, state_dir):
                 sock.sendall(encode_frame({
                     "id": 1, "op": "ping", "params": {}, "token": "wrong",
                 }))
-                header = sock.recv(4)
-                (length,) = struct.unpack("!I", header)
-                frame = json.loads(sock.recv(length))
+                frame = reply(sock)
                 if frame["error"]["code"] != "overloaded":
                     break
                 time.sleep(frame["error"].get("retry_after_s", 0.01))
@@ -1271,6 +999,9 @@ def _run_net(rng, params, state_dir):
             for i, group in enumerate(groups):
                 if errors:
                     break
+                # recorded before the submit: no reader can observe a
+                # version the oracle does not know yet
+                oracle.record(group)
                 await retry_overload(lambda: writer.submit_batch(group))
                 if i % params["flush_every"] == 0:
                     await retry_overload(
@@ -1291,7 +1022,7 @@ def _run_net(rng, params, state_dir):
                     "where": "final",
                     "stamp": int(stamp), "expect": params["groups"],
                 })
-            check(full_lo, full_hi, values, stamp, errors, "final")
+            check(full_lo, full_hi, values, stamp, "final")
         finally:
             stop.set()
             await asyncio.gather(*tasks, return_exceptions=True)
@@ -1306,7 +1037,7 @@ def _run_net(rng, params, state_dir):
         try:
             for _ in range(10):
                 try:
-                    await client.ping()
+                    await retry_overload(client.ping)
                 except QuotaExceededError as error:
                     counts["quota"] += 1
                     assert error.retry_after_s > 0.0, (
@@ -1314,8 +1045,6 @@ def _run_net(rng, params, state_dir):
                         f"{error.retry_after_s}"
                     )
                     return
-                except ServiceOverloadedError:
-                    await asyncio.sleep(0.01)
             raise AssertionError(
                 "starved tenant was never refused post-quiesce"
             )
@@ -1328,14 +1057,7 @@ def _run_net(rng, params, state_dir):
         asyncio.run(quota_probe())
         net = server.metrics.snapshot()
         params["counts"] = counts
-        params["net"] = {
-            k: net[k]
-            for k in (
-                "requests", "errors_by_code", "overload_rejects",
-                "quota_rejects", "auth_rejects", "protocol_errors",
-                "inflight_peak",
-            )
-        }
+        params["net"] = net
         assert not errors, f"stale or partial reads: {errors[:3]}"
         assert counts["reads"] >= 1, "no batched reads completed"
         assert counts["stream_chunks"] >= 1, "no stream chunks served"
@@ -1349,7 +1071,75 @@ def _run_net(rng, params, state_dir):
         service.close()
 
 
-def soak(seeds, time_budget, artifact_dir, mode="single", min_rounds=0):
+# -- the mode table and the soak loop -------------------------------------
+
+
+class Mode(NamedTuple):
+    """One soak mode: how a round is seeded, drawn and run."""
+
+    salt: Tuple[int, ...]  # appended to [seed, round] to seed the round
+    shapes: Tuple[Tuple[int, ...], ...]  # cube shapes; () sizes its own
+    draw: Callable  # (rng, params) -> the mode's own round parameters
+    run: Callable  # (rng, params, state_dir); raises on any breach
+
+
+SMALL_SHAPES = ((24,), (12, 10), (6, 5, 4))
+
+MODES = {
+    "single": Mode(
+        (), ((23,), (11, 9), (6, 5, 4)),
+        lambda rng, p: {
+            "scenario": tuple(SINGLE_SCENARIOS)[p["round"] % 3],
+            **_ints(rng, groups=(8, 30)),
+        },
+        lambda rng, p, d: SINGLE_SCENARIOS[p["scenario"]](rng, p, d),
+    ),
+    "cluster": Mode(
+        (1000,), ((16, 9), (12, 7, 5)),
+        lambda rng, p: _ints(
+            rng, num_shards=(2, min(4, p["shape"][0]) + 1),
+            replication_factor=(2, 4), groups=(10, 25), queries=(10, 25),
+        ),
+        _run_cluster,
+    ),
+    "router": Mode(
+        (2000,), SMALL_SHAPES,
+        lambda rng, p: _ints(
+            rng, groups=(30, 60), readers=(2, 4), flush_every=(3, 8),
+            build_every=(5, 12),
+        ),
+        _run_router,
+    ),
+    "net": Mode(
+        (3000,), SMALL_SHAPES,
+        lambda rng, p: _ints(
+            rng, groups=(20, 40), readers=(2, 4), flush_every=(3, 8),
+            max_inflight=(2, 5), latency_groups=(1, 4),
+        ),
+        _run_net,
+    ),
+    "reshard": Mode(
+        (4000,), ((16, 9), (18, 5), (12, 4, 3)), _reshard_draw, _run_reshard
+    ),
+    "ingest": Mode((5000,), (), _ingest_draw, _run_ingest),
+}
+
+
+def round_params(mode, seed, round_index):
+    """The round's generator and its JSON-friendly parameters."""
+    spec = MODES[mode]
+    rng = np.random.default_rng([seed, round_index, *spec.salt])
+    params = {"seed": seed, "round": round_index, "scenario": mode}
+    if spec.shapes:
+        params["shape"] = spec.shapes[int(rng.integers(len(spec.shapes)))]
+    params.update(spec.draw(rng, params))
+    params["checkpoint_every"] = int(rng.integers(1, 8))
+    return rng, params
+
+
+def soak(seeds, time_budget, artifact_dir=Path("chaos-artifacts"),
+         mode="single", min_rounds=0):
+    run = MODES[mode].run
     start = time.monotonic()
     rounds = 0
     round_index = 0
@@ -1357,30 +1147,14 @@ def soak(seeds, time_budget, artifact_dir, mode="single", min_rounds=0):
         time.monotonic() - start < time_budget or rounds < min_rounds
     ):
         for seed in seeds:
-            if mode == "cluster":
-                rng, params = _cluster_round_params(seed, round_index)
-                scenario = _run_cluster
-            elif mode == "router":
-                rng, params = _router_round_params(seed, round_index)
-                scenario = _run_router
-            elif mode == "net":
-                rng, params = _net_round_params(seed, round_index)
-                scenario = _run_net
-            elif mode == "reshard":
-                rng, params = _reshard_round_params(seed, round_index)
-                scenario = _run_reshard
-            elif mode == "ingest":
-                rng, params = _ingest_round_params(seed, round_index)
-                scenario = _run_ingest
-            else:
-                rng, params = _round_params(seed, round_index)
-                scenario = SCENARIOS[params["scenario"]]
+            rng, params = round_params(mode, seed, round_index)
             with tempfile.TemporaryDirectory(prefix="chaos-") as tmp:
                 state_dir = Path(tmp) / "state"
                 state_dir.mkdir()
                 try:
-                    scenario(rng, params, state_dir)
+                    run(rng, params, state_dir)
                 except Exception:
+                    artifact_dir = Path(artifact_dir)
                     artifact_dir.mkdir(parents=True, exist_ok=True)
                     dest = artifact_dir / f"seed{seed}-round{round_index}"
                     shutil.copytree(state_dir, dest / "state")
@@ -1408,18 +1182,9 @@ def main(argv=None):
     parser.add_argument("--artifact-dir", type=Path,
                         default=Path("chaos-artifacts"),
                         help="failed rounds keep their WAL/checkpoint dir here")
-    parser.add_argument("--mode",
-                        choices=("single", "cluster", "router", "net",
-                                 "reshard", "ingest"),
-                        default="single",
-                        help="single-service crash rounds (default), "
-                        "replicated-cluster kill/partition/heal rounds, "
-                        "query-router stale-read/build-failure rounds, "
-                        "socket-level serving-tier rounds, live "
-                        "split/merge reshard rounds with injected "
-                        "migration failures and degraded-read checks, or "
-                        "streaming-pipeline crash/resume rounds with "
-                        "exactly-once and dead-letter verification")
+    parser.add_argument("--mode", choices=tuple(MODES), default="single",
+                        help="the stack and faults each round soaks (see "
+                        "the module docstring)")
     parser.add_argument("--min-rounds", type=int, default=0,
                         help="keep starting rounds until at least this "
                         "many completed, even past the time budget")

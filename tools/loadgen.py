@@ -41,24 +41,12 @@ import numpy as np
 
 from repro import CubeClient, CubeServer, CubeService, Deadline
 from repro.core.rps import RelativePrefixSumCube
+from repro.workloads import random_group, random_ranges
 from repro.errors import (
     DeadlineExceededError,
     QuotaExceededError,
     ServiceOverloadedError,
 )
-
-
-def _random_page(rng, shape, batch):
-    lows, highs = [], []
-    for _ in range(batch):
-        lo, hi = [], []
-        for n in shape:
-            a, b = sorted(int(x) for x in rng.integers(0, n, size=2))
-            lo.append(a)
-            hi.append(b)
-        lows.append(lo)
-        highs.append(hi)
-    return lows, highs
 
 
 async def _reader(args, shape, stop, latencies, counts, worker_id):
@@ -68,7 +56,7 @@ async def _reader(args, shape, stop, latencies, counts, worker_id):
     )
     try:
         while not stop.is_set():
-            lows, highs = _random_page(rng, shape, args.batch)
+            lows, highs = zip(*random_ranges(shape, args.batch, seed=rng))
             deadline = (
                 Deadline.after(args.deadline_ms / 1000.0)
                 if args.deadline_ms else None
@@ -103,13 +91,7 @@ async def _writer(args, shape, stop, counts):
     try:
         since_flush = 0
         while not stop.is_set():
-            group = [
-                (
-                    tuple(int(rng.integers(0, n)) for n in shape),
-                    float(rng.integers(-9, 10) or 1),
-                )
-                for _ in range(4)
-            ]
+            group = random_group(rng, shape, 4)
             try:
                 await client.submit_batch(group)
                 counts["writes"] += 1
