@@ -14,7 +14,6 @@ from repro.cube.fact_table import FactTable
 from repro.cube.hierarchy import BandHierarchy, CalendarHierarchy, group_by
 from repro.cube.multi import MultiMeasureEngine
 from repro.cube.pivot import PivotTable, pivot
-from repro.cube.rolling_window import RollingWindowEngine
 from repro.cube.query import (
     ParsedQuery,
     RangeUnion,
@@ -35,7 +34,6 @@ __all__ = [
     "ParsedQuery",
     "PivotTable",
     "RangeUnion",
-    "RollingWindowEngine",
     "Selection",
     "execute_query",
     "group_by",

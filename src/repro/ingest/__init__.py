@@ -25,10 +25,9 @@ robustness-first:
   size off :class:`~repro.errors.ServiceOverloadedError` and the
   target's queue depth instead of OOMing or hot-spinning.
 * **Time rolling.** :class:`~repro.ingest.rolling.RollingCubeService`
-  wires :mod:`repro.cube.rolling_window` semantics into a live serving
-  cube: a leading time axis retires its oldest slab and opens a new
-  one mid-stream without a rebuild, and reads during the roll stay
-  exact or come back explicitly
+  makes the leading axis of a serving cube a circular time window: it
+  retires its oldest slab and opens a new one mid-stream without a
+  rebuild, and reads during the roll stay exact or come back explicitly
   :class:`~repro.cluster.degraded.RangeEstimate`-marked.
 """
 

@@ -1,27 +1,37 @@
-"""Time-rolling over a live serving cube: retire a slab, open a slab.
+"""Time rolling: a circular time axis over a live serving cube.
 
-:class:`~repro.cube.rolling_window.RollingWindowEngine` implements the
-circular-time-axis trick over a bare in-process method. Streaming
-ingestion needs the same semantics over a *live*
-:class:`~repro.serve.CubeService` — durable, snapshot-isolated, read by
-concurrent dashboards while the firehose writes — and that is what
-:class:`RollingCubeService` provides.
+The paper assumes dimension sizes are static ("the number of days in a
+year ... can be assumed to be static"). Long-running deployments instead
+keep a *sliding window* — the last 90 days — and every midnight must
+expire the oldest day and open a new one. Rebuilding dense structures
+daily is exactly the cost the paper is trying to avoid, so the time axis
+is **circular**: the leading axis of the wrapped
+:class:`~repro.serve.CubeService` is the physical window of
+``W = service.shape[0]`` time slots, and logical slot ``t`` lives at
+``t mod W``. This module is the only place that knows that mapping; a
+logical slot range maps to at most two physical ranges, so a window sum
+stays O(1) per query with the RPS backend.
 
-The leading axis of the wrapped service is the physical window of
-``W = service.shape[0]`` time slots; logical slot ``t`` lives at
-``t mod W``. :meth:`advance` retires the oldest slab by submitting one
-atomic zeroing group for the reused physical slice — computed
-vectorized from the published snapshot, no per-cell loop, no rebuild —
-so readers see the old slab in full or not at all, never half-expired.
+:class:`RollingCubeService` works over any service — durable and
+streamed into by the ingest pipeline, or a plain in-memory one::
+
+    with CubeService(RelativePrefixSumCube, np.zeros((90, 50))) as svc:
+        window = RollingCubeService(svc)
+
+:meth:`~RollingCubeService.advance` retires the oldest slab by
+submitting one atomic zeroing group for the reused physical slice —
+computed vectorized from the published snapshot, no per-cell loop, no
+rebuild — so readers see the old slab in full or not at all, never
+half-expired.
 
 Reads during the roll are **exact or explicitly estimated, never
 silently stale**: every submitted group's per-slot positive and
 negative delta mass is tracked until the service's applied version
-catches up. :meth:`window_sum` answers from one snapshot and checks
-which tracked groups that snapshot has not absorbed yet; if any of
-them touch the queried slots the caller either gets an exact answer
-after a flush (the default) or, with ``allow_estimate=True``, the
-snapshot value wrapped in a
+catches up. :meth:`~RollingCubeService.window_sum` answers from one
+snapshot and checks which tracked groups that snapshot has not absorbed
+yet; if any of them touch the queried slots the caller either gets an
+exact answer after a flush (the default) or, with
+``allow_estimate=True``, the snapshot value wrapped in a
 :class:`~repro.cluster.degraded.RangeEstimate` whose ``[low, high]``
 interval is the snapshot value padded by the pending negative/positive
 mass — deterministic bounds the true acked sum cannot escape.
@@ -35,15 +45,52 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.cluster.degraded import RangeEstimate
-from repro.cube.rolling_window import (
-    check_slot,
-    oldest_slot,
-    physical_ranges,
-    zeroing_updates,
-)
 from repro.errors import RangeError
 
 WindowAnswer = Union[float, RangeEstimate]
+
+
+def oldest_slot(newest_slot: int, window: int) -> int:
+    """Oldest logical slot still inside a ``window``-slot window."""
+    return max(0, newest_slot - window + 1)
+
+
+def check_slot(slot: int, newest_slot: int, window: int) -> None:
+    """Raise :class:`RangeError` unless ``slot`` is inside the window."""
+    oldest = oldest_slot(newest_slot, window)
+    if slot < oldest or slot > newest_slot:
+        raise RangeError(
+            f"slot {slot} outside the current window "
+            f"[{oldest}, {newest_slot}]"
+        )
+
+
+def physical_ranges(first: int, last: int, window: int):
+    """Map a logical slot range to 1 or 2 contiguous physical ranges."""
+    p_first = first % window
+    p_last = last % window
+    if last - first + 1 >= window:
+        return [(0, window - 1)]
+    if p_first <= p_last:
+        return [(p_first, p_last)]
+    return [(p_first, window - 1), (0, p_last)]
+
+
+def zeroing_updates(
+    slab: np.ndarray, physical: int
+) -> List[Tuple[Tuple[int, ...], float]]:
+    """The updates that expire physical slice ``physical``: one negating
+    delta per nonzero cell of its ``slab`` (empty when already zero).
+
+    The slab comes from one snapshot reconstruction, not a
+    ``cell_value`` per cell, so only nonzero cells cost an update.
+    """
+    slab = np.asarray(slab)
+    nonzero = np.nonzero(slab)
+    return [
+        ((physical,) + tuple(int(c) for c in cell), -value)
+        for cell, value in zip(np.column_stack(nonzero), slab[nonzero])
+    ]
 
 
 class RollingCubeService:
@@ -99,15 +146,19 @@ class RollingCubeService:
 
         Each reused physical slice is zeroed by one atomic group built
         from the published snapshot (flushed first, so the snapshot is
-        current). ``timeout`` bounds only each zeroing group's wait for
-        queue space; the flush waits out the writer's whole backlog,
-        however long one slow apply or fsync takes. Zeroing an
-        already-empty slice submits nothing, which makes a crash-resume
-        re-advance a no-op — the property the ingest fence relies on.
-        ``newest_slot`` moves only after the slice's zeroing group is
-        acked, so a :class:`~repro.errors.ServiceOverloadedError` from
-        the bounded queue leaves the window where it was and a
-        backed-off retry redoes the slot from the snapshot — never
+        current). One flush and one snapshot serve the whole call, and
+        at most ``window`` groups are submitted: distinct slabs are
+        independent, and once every slab has been zeroed the remaining
+        slots open over clean slices. ``timeout`` bounds only each
+        zeroing group's wait for queue space; the flush waits out the
+        writer's whole backlog, however long one slow apply or fsync
+        takes. Zeroing an already-empty slice submits nothing, which
+        makes a crash-resume re-advance a no-op — the property the
+        ingest fence relies on. ``newest_slot`` moves only after the
+        slice's zeroing group is acked, so a
+        :class:`~repro.errors.ServiceOverloadedError` from the bounded
+        queue leaves the window short of the target and a backed-off
+        retry re-snapshots and redoes the remaining slabs — never
         opening a slot over a still-dirty slab.
 
         Returns the new newest logical slot.
@@ -115,25 +166,32 @@ class RollingCubeService:
         if slots < 1:
             raise RangeError(f"can only advance forward, got {slots}")
         with self._lock:
-            for _ in range(int(slots)):
-                opening = self.newest_slot + 1
+            target = self.newest_slot + int(slots)
+            self.service.flush()
+            array, _ = self.service.snapshot_array()
+            last_dirty = min(target, self.newest_slot + self.window)
+            for opening in range(self.newest_slot + 1, last_dirty + 1):
                 physical = opening % self.window
-                self.service.flush()
-                array, _ = self.service.snapshot_array()
-                slab = np.asarray(array[physical])
+                slab = array[physical]
                 updates = zeroing_updates(slab, physical)
                 if updates:
                     seq = self.service.submit_batch(
                         updates, timeout=timeout
                     )
-                    # the reused physical slice serves the NEW slot: a
-                    # read of it before the zeroing group applies would
-                    # see the retired tenant's data, so the pending
-                    # mass is tracked under the new logical slot
+                    # the reused physical slice serves the NEW slot —
+                    # and, on a roll past the whole window, the target
+                    # window's slot on the same slice: a read of it
+                    # before the zeroing group applies would see the
+                    # retired tenant's data, so the pending mass is
+                    # tracked under the slots it serves
                     mass = float(np.abs(slab).sum())
-                    self._pending[seq] = {opening: (mass, mass)}
+                    serving = target - (target - opening) % self.window
+                    self._pending[seq] = dict.fromkeys(
+                        {opening, serving}, (mass, mass)
+                    )
                 self.newest_slot = opening
-            return self.newest_slot
+            self.newest_slot = target
+            return target
 
     # -- writes --------------------------------------------------------------
 
@@ -150,7 +208,9 @@ class RollingCubeService:
         :class:`~repro.errors.RangeError` — the ingest pipeline
         quarantines such rows instead of calling this.
         """
-        top = max(int(u[0][0]) for u in updates)
+        top = max(
+            (int(u[0][0]) for u in updates), default=self.newest_slot
+        )
         if top > self.newest_slot:
             self.advance(top - self.newest_slot, timeout=timeout)
         with self._lock:
@@ -254,6 +314,23 @@ class RollingCubeService:
                         pos += p
                         neg += n
         return pos, neg
+
+    def trailing_sum(
+        self,
+        slots: int,
+        low: Optional[Sequence[int]] = None,
+        high: Optional[Sequence[int]] = None,
+        *,
+        allow_estimate: bool = False,
+    ) -> WindowAnswer:
+        """:meth:`window_sum` over the most recent ``slots`` slots,
+        clipped to the window."""
+        if slots < 1:
+            raise RangeError(f"need at least one slot, got {slots}")
+        first = max(self.oldest_slot, self.newest_slot - slots + 1)
+        return self.window_sum(
+            first, self.newest_slot, low, high, allow_estimate=allow_estimate
+        )
 
     def flush(self, timeout: Optional[float] = None) -> int:
         """Drain the wrapped service; subsequent reads are exact."""

@@ -99,10 +99,11 @@ class WorkloadRunner:
 
     Args:
         method: the structure under test.
-        oracle: optional dense array kept in sync with the updates; when
-            provided, every query answer is checked against it and
-            mismatches are counted (they indicate a bug, and tests assert
-            zero).
+        oracle: optional initial dense cube; when provided, a
+            :class:`~repro.testing.VersionOracle` records every update
+            and every query answer must equal its newest version
+            exactly — mismatches are counted (they indicate a bug, and
+            tests assert zero).
     """
 
     def __init__(
@@ -110,13 +111,15 @@ class WorkloadRunner:
         method: RangeSumMethod,
         oracle: Optional[np.ndarray] = None,
     ) -> None:
+        from repro.testing import VersionOracle
+
         self.method = method
-        self.oracle = None if oracle is None else np.array(oracle)
-        if self.oracle is not None and self.oracle.shape != method.shape:
+        if oracle is not None and np.shape(oracle) != method.shape:
             raise WorkloadError(
-                f"oracle shape {self.oracle.shape} != method shape "
+                f"oracle shape {np.shape(oracle)} != method shape "
                 f"{method.shape}"
             )
+        self.oracle = None if oracle is None else VersionOracle(oracle)
 
     def run(
         self,
@@ -159,10 +162,9 @@ class WorkloadRunner:
         if keep:
             result.answers.append(answer)
         if self.oracle is not None:
-            slices = tuple(slice(l, h + 1) for l, h in zip(low, high))
-            expected = self.oracle[slices].sum()
-            if not np.isclose(float(answer), float(expected)):
-                result.mismatches += 1
+            result.mismatches += len(
+                self.oracle.check([low], [high], [answer], self.oracle.version)
+            )
 
     def _run_update(self, update: Update, result: WorkloadResult) -> None:
         cell, delta = update
@@ -176,7 +178,7 @@ class WorkloadRunner:
         result.update_cells_written += diff.cells_written
         result.updates += 1
         if self.oracle is not None:
-            self.oracle[cell] += delta
+            self.oracle.record([(cell, delta)])
 
 
 class ClusterWorkloadRunner:

@@ -47,6 +47,19 @@ class TestExecution:
         )
         assert result.mismatches > 0
 
+    def test_oracle_check_is_exact(self):
+        """One unit off on a 1.2M total is a mismatch, not a rounding
+        difference: the oracle compares with ``==``."""
+
+        class OneHigh(NaiveCube):
+            def range_sum(self, low, high):
+                return super().range_sum(low, high) + 1
+
+        cube = np.full((64, 64), 300)
+        runner = WorkloadRunner(OneHigh(cube), oracle=cube)
+        result = runner.run(queries=[((0, 0), (63, 63)), ((0, 0), (0, 0))])
+        assert result.mismatches == 2
+
     def test_oracle_shape_mismatch(self, cube):
         with pytest.raises(WorkloadError):
             WorkloadRunner(NaiveCube(cube), oracle=np.zeros((3, 3)))

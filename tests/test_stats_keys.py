@@ -124,7 +124,9 @@ def test_net_metrics_keys():
     with CubeService(RelativePrefixSumCube, np.zeros((4, 4))) as svc:
         with CubeServer(svc, port=0) as server:
             asyncio.run(traffic(server.address))
-            snapshot = server.metrics.snapshot()
+        # the server records a request after sending its reply; stopping
+        # it drains the handler, so the snapshot cannot race that record
+        snapshot = server.metrics.snapshot()
     scalars, keyed, latencies = split(snapshot)
     assert scalars == {
         "connections_opened", "connections_closed", "connections_active",
