@@ -8,6 +8,11 @@ Q = 1e2..1e5 on a 1024x1024 cube, for every method — and asserts that
 the two paths return identical answers and charge identical counter
 totals, so the speedup is free in the paper's cost model.
 
+It also reports, without a gate, the per-call cost of each method's
+``range_sum_many`` at serving-sized batches (Q = 4, 64, 256: a
+dashboard page, not a bulk scan) under ``serving_batches`` — the size
+where per-call overhead rather than per-box gathers decides latency.
+
 Writes ``results/S1.json`` next to the E*/A* CSVs. Run standalone
 (``python benchmarks/bench_s1_batch_queries.py``) or via pytest.
 """
@@ -28,6 +33,14 @@ RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 SHAPE = (1024, 1024)
 BATCH_SIZES = (100, 1_000, 10_000, 100_000)
+
+#: Serving-sized batches timed per call (report-only, no threshold).
+SERVING_BATCH_SIZES = (4, 64, 256)
+
+#: Calls per timed serving sample, and samples per (method, Q); the
+#: reported per-call time is the fastest sample's mean.
+SERVING_CALLS = 50
+SERVING_SAMPLES = 5
 
 #: Largest Q each method's *looped* path is asked to run (the naive scan
 #: and the Fenwick per-query np.ix_ path get slow enough to be pointless
@@ -104,7 +117,32 @@ def run_s1(shape=SHAPE, batch_sizes=BATCH_SIZES, seed=21):
         "shape": list(shape),
         "seed": seed,
         "rows": rows,
+        "serving_batches": serving_batches(cube, lows_all, highs_all),
     }
+
+
+def serving_batches(cube, lows_all, highs_all):
+    """Per-call ``range_sum_many`` microseconds at serving batch sizes,
+    one row per (method, Q); report-only."""
+    rows = []
+    for name, cls in METHODS.items():
+        method = cls(cube)
+        for q_count in SERVING_BATCH_SIZES:
+            lows, highs = lows_all[:q_count], highs_all[:q_count]
+            samples = []
+            for _ in range(SERVING_SAMPLES):
+                start = time.perf_counter()
+                for _ in range(SERVING_CALLS):
+                    method.range_sum_many(lows, highs)
+                samples.append(
+                    (time.perf_counter() - start) / SERVING_CALLS
+                )
+            rows.append({
+                "method": name,
+                "Q": q_count,
+                "us_per_call": min(samples) * 1e6,
+            })
+    return rows
 
 
 def write_report(report, path=None):
@@ -138,6 +176,12 @@ def main():
         print(
             f"  {row['method']:>10}  Q={row['Q']:>6}  "
             f"vec={row['vectorized_s']*1e3:8.2f} ms  speedup={speedup_txt}"
+        )
+    print("  serving batches (per call):")
+    for row in report["serving_batches"]:
+        print(
+            f"  {row['method']:>10}  Q={row['Q']:>6}  "
+            f"{row['us_per_call']:10.1f} us"
         )
 
 

@@ -23,6 +23,11 @@ from repro.core import indexing
 from repro.core.base import RangeSumMethod
 
 
+#: Rows per pass of the batched prefix kernel (see
+#: :meth:`FenwickCube._prefix_rows`).
+PREFIX_CHUNK_ROWS = 8192
+
+
 class FenwickCube(RangeSumMethod):
     """d-dimensional binary indexed tree over a dense cube."""
 
@@ -71,7 +76,7 @@ class FenwickCube(RangeSumMethod):
         self.counter.read(block.size, structure="fenwick")
         return self._dtype.type(block.sum())
 
-    def prefix_sum_many(self, targets) -> np.ndarray:
+    def _prefix_rows(self, rows: np.ndarray) -> np.ndarray:
         """Batched prefix sums via per-bit-slot gathers.
 
         Each axis contributes at most ``ceil(log2 n_i)`` tree positions
@@ -81,19 +86,27 @@ class FenwickCube(RangeSumMethod):
         ``prod(L_i)`` gathers of Q cells, replacing Q Python-level
         ``np.ix_`` constructions. Charges the same
         ``prod(#set bits of t_i + 1)`` reads per query as the loop.
+
+        Rows go through in chunks of :data:`PREFIX_CHUNK_ROWS`: every
+        slot combination re-reads its chunk's masks, and a bounded chunk
+        keeps them in cache however many corners a batch stacks.
         """
-        batch = indexing.normalize_index_batch(targets, self.shape)
-        q_count = len(batch)
-        out = np.zeros(q_count, dtype=self._dtype)
-        if q_count == 0:
-            return out
+        out = np.zeros(len(rows), dtype=self._dtype)
+        for start in range(0, len(rows), PREFIX_CHUNK_ROWS):
+            chunk = slice(start, start + PREFIX_CHUNK_ROWS)
+            self._add_prefixes(rows[chunk], out[chunk])
+        return out
+
+    def _add_prefixes(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """Add the prefix sums of ``rows`` into ``out`` (a view)."""
+        q_count = len(rows)
         positions, valid = [], []
         charges = np.ones(q_count, dtype=np.int64)
         for axis, n in enumerate(self.shape):
             bits = int(n).bit_length()
             pos = np.zeros((q_count, bits), dtype=np.intp)
             live = np.zeros((q_count, bits), dtype=bool)
-            i = batch[:, axis] + 1  # 1-based walk, vectorized over Q
+            i = rows[:, axis] + 1  # 1-based walk, vectorized over Q
             for b in range(bits):
                 alive = i > 0
                 live[:, b] = alive
@@ -116,7 +129,6 @@ class FenwickCube(RangeSumMethod):
                 for axis in range(self.ndim)
             )
             out[mask] += self._tree[cell]
-        return out
 
     def range_sum_many(self, lows, highs) -> np.ndarray:
         """Batched range sums: the corner identity over batched prefixes."""

@@ -43,20 +43,19 @@ class PrefixSumCube(RangeSumMethod):
         self.counter.read(1, structure="P")
         return self._p[t]
 
-    def prefix_sum_many(self, targets) -> np.ndarray:
+    def _prefix_rows(self, rows: np.ndarray) -> np.ndarray:
         """Batched prefix sums: one fancy-indexed gather on ``P``.
 
         Charges one read per target — exactly what looping
         :meth:`prefix_sum` charges.
         """
-        batch = indexing.normalize_index_batch(targets, self.shape)
-        if len(batch) == 0:
+        if len(rows) == 0:
             return np.empty(0, dtype=self._p.dtype)
-        self.counter.read(len(batch), structure="P")
-        return self._p[tuple(batch.T)]
+        self.counter.read(len(rows), structure="P")
+        return self._p[tuple(rows.T)]
 
     def range_sum_many(self, lows, highs) -> np.ndarray:
-        """Batched range sums: one gather per corner of the identity."""
+        """Batched range sums: one gather over all stacked corners."""
         lo, hi = indexing.normalize_range_batch(lows, highs, self.shape)
         return self._corner_range_sum_many(lo, hi)
 

@@ -18,6 +18,7 @@ The contract, mirroring the paper's model:
 from __future__ import annotations
 
 import abc
+import functools
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
@@ -27,6 +28,23 @@ from repro.errors import DimensionError, RangeError
 from repro.metrics.counters import AccessCounter
 
 DEFAULT_DTYPE = np.int64
+
+
+@functools.lru_cache(maxsize=None)
+def _corner_table(d: int) -> Tuple[np.ndarray, Tuple[bool, ...]]:
+    """Corner geometry of the ``2^d``-corner identity, per dimension.
+
+    Returns ``(low_axes, odd)``: ``low_axes[axis, mask, 0]`` is true when
+    corner ``mask`` takes ``low - 1`` on ``axis`` (bit ``axis`` of
+    ``mask`` set), and ``odd[mask]`` is true when that corner enters the
+    sum negatively (an odd number of low axes).
+    """
+    masks = np.arange(1 << d)
+    low_axes = ((masks >> np.arange(d)[:, None]) & 1).astype(bool)
+    odd = tuple(bool(n % 2) for n in low_axes.sum(axis=0))
+    low_axes = low_axes[:, :, None]
+    low_axes.setflags(write=False)
+    return low_axes, odd
 
 
 class RangeSumMethod(abc.ABC):
@@ -111,17 +129,26 @@ class RangeSumMethod(abc.ABC):
     def prefix_sum_many(self, targets) -> np.ndarray:
         """Batched :meth:`prefix_sum` over a ``(Q, d)`` array of targets.
 
-        Returns a length-Q vector of prefix sums. The base implementation
-        loops :meth:`prefix_sum`; vectorized subclasses override it with
-        gather kernels that must return identical values **and** charge
-        identical logical cell costs to ``self.counter`` (the counters
-        measure the paper's cost model, not numpy memory traffic, so the
-        batched and looped paths are indistinguishable in the ledger).
+        Returns a length-Q vector of prefix sums. Validates the batch
+        once and hands it to :meth:`_prefix_rows`, the hook vectorized
+        subclasses override.
         """
-        batch = indexing.normalize_index_batch(targets, self.shape)
-        results = [
-            self.prefix_sum(tuple(int(c) for c in row)) for row in batch
-        ]
+        return self._prefix_rows(
+            indexing.normalize_index_batch(targets, self.shape)
+        )
+
+    def _prefix_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Prefix sums of an already-validated ``(N, d)`` ``intp`` batch.
+
+        The base implementation loops :meth:`prefix_sum`; vectorized
+        subclasses override it with gather kernels that must return
+        identical values **and** charge identical logical cell costs to
+        ``self.counter`` (the counters measure the paper's cost model,
+        not numpy memory traffic, so the batched and looped paths are
+        indistinguishable in the ledger). Callers own validation: this
+        hook never re-checks its rows.
+        """
+        results = [self.prefix_sum(tuple(int(c) for c in row)) for row in rows]
         if not results:
             return np.empty(0, dtype=self._dtype)
         return np.asarray(results)
@@ -148,33 +175,40 @@ class RangeSumMethod(abc.ABC):
     def _corner_range_sum_many(
         self, lo: np.ndarray, hi: np.ndarray
     ) -> np.ndarray:
-        """Vectorized inclusion–exclusion over pre-validated corner batches.
+        """Stacked inclusion–exclusion over pre-validated corner batches.
 
-        Evaluates the ``2^d``-corner identity (Figure 3) with one
-        :meth:`prefix_sum_many` call per corner subset, masking out the
-        corners that fall off the cube (empty prefixes). Exactly the set
+        Builds all ``2^d`` corners of every box (Figure 3) as one
+        ``(2^d * Q, d)`` row batch — corner ``mask`` takes ``lo - 1`` on
+        the axes whose bit is set, ``hi`` elsewhere — drops the empty
+        prefixes (a ``-1`` coordinate), and evaluates every remaining
+        corner with a single :meth:`_prefix_rows` call. Exactly the set
         of corners the looped path evaluates is gathered, so any subclass
-        whose ``prefix_sum_many`` charges faithfully gets a faithful
+        whose ``_prefix_rows`` charges faithfully gets a faithful
         ``range_sum_many`` for free.
+
+        The signed prefixes are folded into the result one corner subset
+        at a time in ascending ``mask`` order, starting from zero, so a
+        floating-point cube sums in the same order as evaluating the
+        subsets one by one would.
         """
         q_count, d = lo.shape
         out = np.zeros(q_count, dtype=self._dtype)
         if q_count == 0:
             return out
+        low_axes, odd = _corner_table(d)
+        # axis-major (d, 2^d, Q): every elementwise pass runs along Q
+        cols = np.where(low_axes, (lo - 1).T[:, None, :], hi.T[:, None, :])
+        live = (cols >= 0).all(axis=0)
+        keep = np.flatnonzero(live)
+        prefixes = np.zeros((1 << d, q_count), dtype=self._dtype)
+        prefixes[live] = self._prefix_rows(
+            cols.reshape(d, -1).take(keep, axis=1).T
+        )
         for mask in range(1 << d):
-            corners = hi.copy()
-            for axis in range(d):
-                if mask & (1 << axis):
-                    corners[:, axis] = lo[:, axis] - 1
-            sign = -1 if bin(mask).count("1") % 2 else 1
-            valid = (corners >= 0).all(axis=1)
-            if not valid.any():
-                continue
-            values = self.prefix_sum_many(corners[valid])
-            if sign > 0:
-                out[valid] += values
+            if odd[mask]:
+                out -= prefixes[mask]
             else:
-                out[valid] -= values
+                out += prefixes[mask]
         return out
 
     def total(self):

@@ -184,6 +184,24 @@ class Overlay:
         )
         self.counter = counter if counter is not None else AccessCounter()
         self._full_mask = (1 << self.ndim) - 1
+        # query-kernel tables: per axis, each coordinate's box number
+        # and its bit of the target's off-anchor bitmask (bit j set =
+        # coordinate j is not on its box's anchor face)
+        self._box_of = tuple(
+            np.arange(n, dtype=np.intp) // k
+            for n, k in zip(self.shape, self.box_sizes)
+        )
+        self._off_bit = tuple(
+            np.where(np.arange(n) % k != 0, 1 << axis, 0)
+            for axis, (n, k) in enumerate(zip(self.shape, self.box_sizes))
+        )
+        subs = np.arange(self._full_mask + 1)
+        #: applicable[S', off]: border term S' applies to the target —
+        #: S' is a nonempty subset of off, and not all of D
+        self._applicable = (subs & subs[:, None]) == subs[:, None]
+        self._applicable[[0, self._full_mask]] = False
+        #: border reads of one target, by its off-anchor bitmask
+        self._border_reads = self._applicable.sum(axis=0)
         self._build(source)
 
     @property
@@ -306,42 +324,57 @@ class Overlay:
     def prefix_contribution_many(self, targets) -> np.ndarray:
         """Batched :meth:`prefix_contribution` over a ``(Q, d)`` array.
 
+        Validates the batch, then runs :meth:`contribution_rows`.
+        """
+        return self.contribution_rows(
+            indexing.normalize_index_batch(targets, self.shape)
+        )
+
+    def contribution_rows(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`prefix_contribution_many` over an already-validated
+        ``(Q, d)`` batch.
+
         One fancy-indexed gather per term of the subset expansion: the
         anchor-value gather plus one gather per proper nonempty subset
-        ``S'`` of the dimensions, applied to the rows whose target is
+        ``S'`` of the dimensions, added only to the rows whose target is
         off-anchor on all of ``S'`` (the same per-target subset the
-        looped path walks). Charges identical counter totals: one anchor
-        read per target plus one border read per applicable ``(target,
-        subset)`` pair.
+        looped path walks). The subset gathers run over every row — the
+        index is in bounds whether or not the term applies — and an
+        ``np.where`` mask adds ``-0.0`` for the inapplicable ones, so no
+        row set is ever compacted. Charges identical counter totals: one
+        anchor read per target plus one border read per applicable
+        ``(target, subset)`` pair.
         """
-        batch = indexing.normalize_index_batch(targets, self.shape)
-        q_count = len(batch)
+        anchor_grid = self._values[self._full_mask]
+        q_count = len(rows)
         if q_count == 0:
-            anchor_grid = self._values[self._full_mask]
             return np.empty(0, dtype=anchor_grid.dtype)
-        sizes = np.asarray(self.box_sizes, dtype=np.intp)
-        box = batch // sizes
-        on_anchor = batch == box * sizes  # (Q, d): coordinate is anchor-aligned
-        total = self._values[self._full_mask][tuple(box.T)].copy()
+        cols = rows.T
+        box_cols = tuple(
+            self._box_of[axis][cols[axis]] for axis in range(self.ndim)
+        )
+        off_bits = self._off_bit[0][cols[0]]
+        for axis in range(1, self.ndim):
+            off_bits = off_bits | self._off_bit[axis][cols[axis]]
+        total = anchor_grid[box_cols]
         self.counter.read(q_count, structure="overlay.anchor")
-        border_reads = 0
+        border_reads = int(self._border_reads[off_bits].sum())
+        if not border_reads:
+            return total
+        # -0.0 is the exact additive identity: inapplicable rows keep
+        # their partial sum bit for bit, signed zeros included
+        skip = total.dtype.type(-0.0)
         for sub in range(1, self._full_mask):
-            applicable = np.ones(q_count, dtype=bool)
-            for axis in range(self.ndim):
-                if sub & (1 << axis):
-                    applicable &= ~on_anchor[:, axis]
-            if not applicable.any():
-                continue
-            z_mask = self._full_mask ^ sub
             cell = tuple(
-                batch[applicable, axis] if sub & (1 << axis)
-                else box[applicable, axis]
+                cols[axis] if sub >> axis & 1 else box_cols[axis]
                 for axis in range(self.ndim)
             )
-            total[applicable] += self._values[z_mask][cell]
-            border_reads += int(applicable.sum())
-        if border_reads:
-            self.counter.read(border_reads, structure="overlay.border")
+            total += np.where(
+                self._applicable[sub][off_bits],
+                self._values[self._full_mask ^ sub][cell],
+                skip,
+            )
+        self.counter.read(border_reads, structure="overlay.border")
         return total
 
     # -- updates -------------------------------------------------------------

@@ -63,11 +63,16 @@ class RelativePrefixArray:
 
         Charges one read per row, same as looping :meth:`value`.
         """
-        batch = indexing.normalize_index_batch(targets, self.shape)
-        if len(batch) == 0:
+        return self.value_rows(
+            indexing.normalize_index_batch(targets, self.shape)
+        )
+
+    def value_rows(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`value_many` over an already-validated ``(Q, d)`` batch."""
+        if len(rows) == 0:
             return np.empty(0, dtype=self._rp.dtype)
-        self.counter.read(len(batch), structure="RP")
-        return self._rp[tuple(batch.T)]
+        self.counter.read(len(rows), structure="RP")
+        return self._rp[tuple(rows.T)]
 
     def cell_value(self, index: Sequence[int]):
         """Recover ``A[index]`` from RP alone by box-local differencing.

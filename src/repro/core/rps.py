@@ -105,19 +105,15 @@ class RelativePrefixSumCube(RangeSumMethod):
         full prefix sums — the cascade never leaves the box)."""
         return self.rp.cell_value(index)
 
-    def prefix_sum_many(self, targets) -> np.ndarray:
+    def _prefix_rows(self, rows: np.ndarray) -> np.ndarray:
         """Batched prefix sums: overlay subset gathers plus one RP gather.
 
         One fancy-indexed gather per term of the query identity —
         anchors, each border subset, and RP — with no per-query Python.
         Counter charges match the looped path exactly (see
-        :meth:`Overlay.prefix_contribution_many`).
+        :meth:`Overlay.contribution_rows`).
         """
-        batch = indexing.normalize_index_batch(targets, self.shape)
-        return (
-            self.overlay.prefix_contribution_many(batch)
-            + self.rp.value_many(batch)
-        )
+        return self.overlay.contribution_rows(rows) + self.rp.value_rows(rows)
 
     def range_sum_many(self, lows, highs) -> np.ndarray:
         """Batched range sums: the corner identity over batched prefixes."""

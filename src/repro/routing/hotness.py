@@ -56,7 +56,7 @@ def default_granularities(
 def aligned_mask(
     lows: np.ndarray,
     highs: np.ndarray,
-    granularity: int,
+    granularity,
     shape: Sequence[int],
 ) -> np.ndarray:
     """Boolean mask of boxes whose edges all sit on the ``g`` grid.
@@ -65,14 +65,17 @@ def aligned_mask(
     exclusive ``high + 1`` is a multiple of ``g`` *or* the full extent
     of its dimension (so "all of axis k" stays aligned even when ``g``
     does not divide ``n_k``).
+
+    ``granularity`` is one grid size (the mask has shape ``(Q,)``) or a
+    sequence of ``G`` sizes tested in one broadcast (shape ``(G, Q)``).
     """
-    g = int(granularity)
-    bounds = np.asarray(shape, dtype=np.intp)
-    upper = highs + 1
-    return (
-        (lows % g == 0).all(axis=1)
-        & ((upper % g == 0) | (upper == bounds)).all(axis=1)
-    )
+    g = np.asarray(granularity, dtype=np.intp)[..., None, None]
+    d = len(shape)
+    # contiguous axis-major (2d, Q) edges: every pass runs along Q
+    edges = np.ascontiguousarray(np.concatenate((lows, highs + 1), axis=1).T)
+    on_grid = edges % g == 0
+    on_grid[..., d:, :] |= edges[d:] == np.asarray(shape)[:, None]
+    return on_grid.all(axis=-2)
 
 
 class HotPatternTracker:
@@ -123,7 +126,8 @@ class HotPatternTracker:
         self._aligned_counts: Dict[int, int] = {
             g: 0 for g in self.granularities
         }
-        self._box_counts: Dict[Tuple, int] = {}
+        self._box_counts: Dict[bytes, int] = {}
+        self._last_sample = None
 
     def observe_many(self, lows: np.ndarray, highs: np.ndarray) -> None:
         """Fold one batch of (validated ``(Q, d)``) boxes into the
@@ -143,22 +147,30 @@ class HotPatternTracker:
             lows = lows[::step]
             highs = highs[::step]
             scale = q / len(lows)
-        aligned = {
-            g: int(
-                round(
-                    scale * aligned_mask(lows, highs, g, self.shape).sum()
-                )
-            )
-            for g in self.granularities
-        }
+        # one (Q, 2d) buffer of the sampled (lo, hi) rows: its bytes
+        # identify the sample, and a row-sized void view of it makes the
+        # raw-bytes box keys in C (the inputs are normalized intp rows)
+        rows = np.concatenate((lows, highs), axis=1)
+        sample = rows.tobytes()
+        last = self._last_sample
+        if last is not None and last[0] == sample:
+            # the same sample as the last observation (a re-sent page):
+            # its aligned counts and keys are already known
+            counts, keys = last[1], last[2]
+        else:
+            counts = aligned_mask(
+                lows, highs, self.granularities, self.shape
+            ).sum(axis=1).tolist()
+            row_type = np.dtype((np.void, rows.shape[1] * rows.itemsize))
+            keys = rows.view(row_type).ravel().tolist()
+            # one tuple, swapped in whole: a concurrent observer never
+            # pairs one sample with another's counts
+            self._last_sample = (sample, counts, keys)
         with self._lock:
             self._observed += q
-            for g, count in aligned.items():
-                self._aligned_counts[g] += count
-            for lo, hi in zip(lows, highs):
-                # raw-bytes keys: the loop is hot-path priced, and the
-                # inputs are normalized (Q, d) intp rows already
-                key = (lo.tobytes(), hi.tobytes())
+            for g, count in zip(self.granularities, counts):
+                self._aligned_counts[g] += int(round(scale * count))
+            for key in keys:
                 slot = self._box_counts.get(key)
                 if slot is not None:
                     self._box_counts[key] = slot + 1
@@ -194,16 +206,12 @@ class HotPatternTracker:
             ranked = sorted(
                 self._box_counts.items(), key=lambda item: -item[1]
             )
-        return [
-            (
-                (
-                    tuple(np.frombuffer(lo, dtype=np.intp).tolist()),
-                    tuple(np.frombuffer(hi, dtype=np.intp).tolist()),
-                ),
-                count,
-            )
-            for (lo, hi), count in ranked[: int(k)]
-        ]
+        top = []
+        for key, count in ranked[: int(k)]:
+            row = np.frombuffer(key, dtype=np.intp).tolist()
+            half = len(row) // 2
+            top.append(((tuple(row[:half]), tuple(row[half:])), count))
+        return top
 
     def stats(self) -> Dict:
         """Observation totals and per-granularity alignment counts."""

@@ -25,14 +25,13 @@ affected queries simply keep falling through to the RPS tier.
 
 from __future__ import annotations
 
-import itertools
 import queue
 import threading
 from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.prefix import build_prefix_array
+from repro.baselines.prefix import PrefixSumCube
 from repro.routing.hotness import aligned_mask
 
 #: build-queue sentinel: wakes the builder thread at close time
@@ -70,8 +69,12 @@ class RollupCube:
                 f"for shape {self.shape} at granularity {self.granularity}"
             )
         self.blocks_shape = blocks.shape
-        self._prefix = build_prefix_array(blocks)
-        self.nbytes = int(self._prefix.nbytes)
+        # the coarse prefix table: Ho et al.'s prefix-sum cube over the
+        # block totals, queried through its stacked-corner batch kernel
+        self._blocks = PrefixSumCube(blocks)
+        self.nbytes = (
+            self._blocks.storage_cells() * self._blocks.dtype.itemsize
+        )
 
     def covers_mask(
         self, lows: np.ndarray, highs: np.ndarray
@@ -88,29 +91,9 @@ class RollupCube:
         # block coordinates: lo // g and ceil((hi + 1) / g) - 1; an
         # unaligned full-extent edge (hi + 1 == n) maps to the final,
         # possibly ragged block
-        blo = lows // g
-        bhi = -(-(highs + 1) // g) - 1
-        q, d = blo.shape
-        if not q:
-            return np.empty(0, dtype=self._prefix.dtype)
-        # vectorized inclusion–exclusion over the 2^d corners of the
-        # coarse prefix table (the same identity PrefixSumCube uses)
-        total = np.zeros(q, dtype=self._prefix.dtype)
-        for corner in itertools.product((0, 1), repeat=d):
-            pick = np.where(np.asarray(corner, dtype=bool), blo - 1, bhi)
-            valid = (pick >= 0).all(axis=1)
-            if not valid.any():
-                continue
-            flat = np.ravel_multi_index(
-                tuple(pick[valid].T), self.blocks_shape, mode="clip"
-            )
-            sign = (-1) ** sum(corner)
-            np.add.at(
-                total,
-                np.flatnonzero(valid),
-                sign * self._prefix.reshape(-1)[flat],
-            )
-        return total
+        return self._blocks.range_sum_many(
+            lows // g, -(-(highs + 1) // g) - 1
+        )
 
     def __repr__(self) -> str:
         return (

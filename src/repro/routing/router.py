@@ -55,6 +55,23 @@ TIER_RPS = "rps"
 PER_BOX_CACHE_MAX_BATCH = 512
 
 
+def _is_row_batch(lows, highs, d: int) -> bool:
+    """True for a ``(Q, d)`` pair of C-contiguous ``intp`` arrays — the
+    form :func:`~repro.core.indexing.normalize_range_batch` returns, so
+    its bytes alone identify a validated batch."""
+    return (
+        type(lows) is np.ndarray
+        and type(highs) is np.ndarray
+        and lows.dtype == np.intp
+        and highs.dtype == np.intp
+        and lows.ndim == 2
+        and lows.shape == highs.shape
+        and lows.shape[1] == d
+        and lows.flags.c_contiguous
+        and highs.flags.c_contiguous
+    )
+
+
 def _assign_object(array: np.ndarray, idx, obj) -> None:
     """Broadcast one object (even a tuple) into ``array[idx]`` slots —
     a bare ``array[idx] = obj`` would splat a tuple element-wise."""
@@ -80,17 +97,44 @@ class RoutedBatch:
             only on the batch that computed them.
     """
 
-    __slots__ = ("values", "stamps", "tiers", "estimates")
+    __slots__ = ("values", "_stamps", "_tiers", "_estimates", "_source")
 
     def __init__(self, values, stamps, tiers, estimates=None) -> None:
         self.values = values
-        self.stamps = tuple(stamps)
-        self.tiers = tuple(tiers)
-        self.estimates = (
-            tuple(estimates)
-            if estimates is not None
-            else (None,) * len(self.stamps)
-        )
+        self._stamps = tuple(stamps)
+        self._tiers = tuple(tiers)
+        self._estimates = None if estimates is None else tuple(estimates)
+        self._source = None
+
+    @classmethod
+    def uniform(cls, values, stamp, tier) -> "RoutedBatch":
+        """An exact batch one tier answered at one stamp (a batch-memo
+        hit). Its per-query tuples are built on first read, so a caller
+        that wants only the values (:meth:`QueryRouter.range_sum_many`)
+        never pays for them."""
+        batch = cls.__new__(cls)
+        batch.values = values
+        batch._stamps = batch._tiers = batch._estimates = None
+        batch._source = (stamp, tier)
+        return batch
+
+    @property
+    def stamps(self) -> tuple:
+        if self._stamps is None:
+            self._stamps = (self._source[0],) * len(self.values)
+        return self._stamps
+
+    @property
+    def tiers(self) -> tuple:
+        if self._tiers is None:
+            self._tiers = (self._source[1],) * len(self.values)
+        return self._tiers
+
+    @property
+    def estimates(self) -> tuple:
+        if self._estimates is None:
+            self._estimates = (None,) * len(self.values)
+        return self._estimates
 
     def __repr__(self) -> str:
         return (
@@ -351,9 +395,17 @@ class QueryRouter:
         if deadline is not None and deadline.expired:
             self.metrics.inc(deadline_exceeded=1)
             deadline.check("routed read")
-        lows, highs = indexing.normalize_range_batch(
-            lows, highs, self.shape
+        # an intp (Q, d) page is looked up in the batch memo before it
+        # is validated: every memo key was made from a normalized batch,
+        # so a page whose bytes match one *is* that validated batch, and
+        # only a miss pays for validation
+        prevalidated = self.enable_cache and _is_row_batch(
+            lows, highs, len(self.shape)
         )
+        if not prevalidated:
+            lows, highs = indexing.normalize_range_batch(
+                lows, highs, self.shape
+            )
         q = len(lows)
         stamp = self.backend.current_stamp()
 
@@ -369,11 +421,13 @@ class QueryRouter:
                 self.metrics.observe(
                     "route_latency", time.perf_counter() - start
                 )
-                return RoutedBatch(
-                    value, [stamp] * q, [TIER_CACHE] * q
-                )
+                return RoutedBatch.uniform(value, stamp, TIER_CACHE)
             if status is STALE:
                 self.metrics.inc(batch_stale_rejects=1)
+        if prevalidated:
+            lows, highs = indexing.normalize_range_batch(
+                lows, highs, self.shape
+            )
 
         # each tier contributes (slots, values, stamp, tier); the batch
         # is assembled with vectorized fills at the end so a 10^4-box
@@ -423,15 +477,18 @@ class QueryRouter:
                 if allow_estimate
                 else None
             )
+            # take() gathers (Q, d) rows ~10x faster than lows[pending]
+            pending_lows = lows.take(pending, axis=0)
+            pending_highs = highs.take(pending, axis=0)
             if estimated_query is not None:
                 values, box_estimates, backend_stamp = estimated_query(
-                    lows[pending], highs[pending], deadline=deadline
+                    pending_lows, pending_highs, deadline=deadline
                 )
                 if not any(e is not None for e in box_estimates):
                     box_estimates = None
             else:
                 values, backend_stamp = self.backend.query_many(
-                    lows[pending], highs[pending], deadline=deadline
+                    pending_lows, pending_highs, deadline=deadline
                 )
             self.metrics.inc(backend_queries=len(pending))
             self.metrics.observe(
@@ -476,15 +533,19 @@ class QueryRouter:
 
         # memoize the whole batch when one snapshot answered everything
         # — and no slot was estimated (degraded answers never enter any
-        # cache tier)
+        # cache tier); every slot carries its tier's stamp, so the few
+        # tier stamps decide it without a per-slot pass
         if batch_key is not None and estimates is None:
-            uniform = stamps[0]
-            if all(s == uniform for s in stamps):
+            tier_stamps = [s for _, _, s, _ in filled]
+            if hit_slots:
+                tier_stamps.append(stamp)
+            uniform = tier_stamps[0]
+            if all(s == uniform for s in tier_stamps):
                 self.cache.put(batch_key, uniform, out)
         self._observe(lows, highs)
         self.metrics.inc(queries_routed=q)
         self.metrics.observe("route_latency", time.perf_counter() - start)
-        return RoutedBatch(out, stamps, tiers, estimates)
+        return RoutedBatch(out, stamps.tolist(), tiers.tolist(), estimates)
 
     def _serve_from_rollups(
         self, lows, highs, pending, stamp, filled

@@ -14,8 +14,9 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core import indexing
 from repro.deadline import Deadline
-from repro.errors import DeadlineExceededError
+from repro.errors import DeadlineExceededError, DimensionError, RangeError
 from repro.core.rps import RelativePrefixSumCube
 from repro.routing import (
     HIT,
@@ -205,6 +206,102 @@ class TestHotPatternTracker:
     def test_rejects_granularity_below_two(self):
         with pytest.raises(ValueError):
             HotPatternTracker((8, 8), granularities=(1,))
+
+    def test_counts_match_box_at_a_time_reference(self):
+        """The vectorized tracker reports exactly what counting one
+        granularity and one box at a time reports — sampling, scaling,
+        space-saving takeovers, rank ties and re-sent pages included."""
+        shape = (64, 48)
+        tracker = HotPatternTracker(shape, max_boxes=24, sample_per_batch=16)
+        reference = _ReferenceTracker(tracker)
+        rng = np.random.default_rng(5)
+        hot = [
+            (rng.integers(0, 8, 2) * 4, rng.integers(8, 12, 2) * 4 - 1)
+            for _ in range(6)
+        ]
+        for _ in range(40):
+            q = int(rng.integers(1, 60))
+            lows = np.stack([rng.integers(0, n, q) for n in shape], axis=1)
+            spans = np.stack([rng.integers(0, 9, q) for _ in shape], axis=1)
+            highs = np.minimum(lows + spans, np.asarray(shape) - 1)
+            for slot in rng.integers(0, q, q // 2):
+                lows[slot], highs[slot] = hot[int(rng.integers(0, len(hot)))]
+            lows, highs = lows.astype(np.intp), highs.astype(np.intp)
+            tracker.observe_many(lows, highs)
+            reference.observe_many(lows, highs)
+            # a re-sent page, then the same page with one box moved
+            tracker.observe_many(lows.copy(), highs.copy())
+            reference.observe_many(lows, highs)
+            moved = lows.copy()
+            moved[0] = highs[0]  # row 0 is always in the stride sample
+            tracker.observe_many(moved, highs)
+            reference.observe_many(moved, highs)
+        assert tracker.stats() == reference.stats()
+        assert tracker.top_boxes(100) == reference.top_boxes(100)
+        assert tracker.hot_granularities() == reference.hot_granularities()
+
+
+class _ReferenceTracker:
+    """:class:`HotPatternTracker`'s counting rules in plain Python, one
+    granularity and one box at a time."""
+
+    def __init__(self, like):
+        self.shape = like.shape
+        self.granularities = like.granularities
+        self.hot_min_count = like.hot_min_count
+        self.hot_min_fraction = like.hot_min_fraction
+        self.max_boxes = like.max_boxes
+        self.sample_per_batch = like.sample_per_batch
+        self.observed = 0
+        self.aligned = {g: 0 for g in self.granularities}
+        self.boxes = {}
+
+    def observe_many(self, lows, highs):
+        q = len(lows)
+        scale = 1
+        if q > self.sample_per_batch:
+            step = q // self.sample_per_batch
+            lows, highs = lows[::step], highs[::step]
+            scale = q / len(lows)
+        self.observed += q
+        boxes = list(
+            zip(map(tuple, lows.tolist()), map(tuple, highs.tolist()))
+        )
+        for g in self.granularities:
+            aligned = sum(
+                all(l % g == 0 for l in low)
+                and all((h + 1) % g == 0 or h + 1 == n
+                        for h, n in zip(high, self.shape))
+                for low, high in boxes
+            )
+            self.aligned[g] += int(round(scale * aligned))
+        for key in boxes:
+            if key in self.boxes:
+                self.boxes[key] += 1
+            elif len(self.boxes) < self.max_boxes:
+                self.boxes[key] = 1
+            else:
+                victim = min(self.boxes, key=self.boxes.get)
+                self.boxes[key] = self.boxes.pop(victim) + 1
+
+    def hot_granularities(self):
+        return tuple(
+            g for g in self.granularities
+            if self.aligned[g] >= self.hot_min_count
+            and self.aligned[g] / self.observed >= self.hot_min_fraction
+        )
+
+    def top_boxes(self, k):
+        ranked = sorted(self.boxes.items(), key=lambda item: -item[1])
+        return ranked[:k]
+
+    def stats(self):
+        return {
+            "observed": self.observed,
+            "aligned_counts": dict(self.aligned),
+            "tracked_boxes": len(self.boxes),
+            "granularities": list(self.granularities),
+        }
 
 
 class TestRollupCube:
@@ -558,3 +655,97 @@ class TestQueryRouter:
                     t.join(timeout=30)
                     assert not t.is_alive()
         assert not errors
+
+
+def _count_range_validations(monkeypatch):
+    real = indexing.normalize_range_batch
+    calls = []
+
+    def counting(lows, highs, shape):
+        calls.append(len(lows))
+        return real(lows, highs, shape)
+
+    monkeypatch.setattr(indexing, "normalize_range_batch", counting)
+    return calls
+
+
+class TestBatchMemoFastPath:
+    """An intp ``(Q, d)`` page is looked up in the batch memo before it
+    is validated; everything else is validated first, as before."""
+
+    def _page(self):
+        lows = np.array([[0, 0], [4, 4], [7, 1]], dtype=np.intp)
+        highs = np.array([[15, 15], [20, 9], [30, 30]], dtype=np.intp)
+        return lows, highs
+
+    def test_prevalidated_page_hits_without_revalidation(
+        self, service_router, monkeypatch
+    ):
+        cube, service, router = service_router
+        lows, highs = self._page()
+        first = router.route_many(lows, highs)
+        calls = _count_range_validations(monkeypatch)
+        again = router.route_many(lows, highs)
+        assert calls == []
+        assert set(again.tiers) == {"cache"}
+        assert again.stamps == (service.version,) * 3
+        np.testing.assert_array_equal(again.values, first.values)
+        assert router.metrics.snapshot()["batch_hits"] == 3
+
+    def test_stale_fast_path_lookup_counts_a_reject(self, service_router):
+        cube, service, router = service_router
+        lows, highs = self._page()
+        router.route_many(lows, highs)
+        router.submit_batch([((5, 5), +3.0)])
+        router.flush()
+        after = router.route_many(lows, highs)
+        assert set(after.tiers) == {"rps"}
+        assert router.metrics.snapshot()["batch_stale_rejects"] == 1
+        cube[5, 5] += 3.0
+        np.testing.assert_array_equal(after.values, [
+            brute_range_sum(cube, lo, hi) for lo, hi in zip(lows, highs)
+        ])
+
+    @pytest.mark.parametrize("form", ["list", "int32", "strided"])
+    def test_other_inputs_validate_and_still_memoize(
+        self, service_router, monkeypatch, form
+    ):
+        cube, service, router = service_router
+        lows, highs = self._page()
+        if form == "list":
+            lows, highs = lows.tolist(), highs.tolist()
+        elif form == "int32":
+            lows, highs = lows.astype(np.int32), highs.astype(np.int32)
+        else:
+            lows = np.repeat(lows, 2, axis=0)[::2]
+            highs = np.repeat(highs, 2, axis=0)[::2]
+            assert not lows.flags.c_contiguous
+        calls = _count_range_validations(monkeypatch)
+        router.route_many(lows, highs)
+        again = router.route_many(lows, highs)
+        assert set(again.tiers) == {"cache"}
+        # validated by the router on both calls, by the backend once
+        assert calls == [3, 3, 3]
+        # the memo entry is keyed by the normalized bytes, so the same
+        # page as a contiguous intp array finds it without validation
+        contiguous = router.route_many(*self._page())
+        assert set(contiguous.tiers) == {"cache"}
+        assert len(calls) == 3
+
+    def test_invalid_pages_still_raise(self, service_router):
+        cube, service, router = service_router
+        router.route_many(*self._page())
+        lows, highs = self._page()
+        out_of_range = highs.copy()
+        out_of_range[1, 0] = 32
+        with pytest.raises(RangeError):
+            router.route_many(lows, out_of_range)
+        with pytest.raises(RangeError):
+            router.route_many(highs, lows)  # inverted
+        wide = np.zeros((3, 3), dtype=np.intp)
+        with pytest.raises(DimensionError):
+            router.route_many(wide, wide)
+        # the same bytes as a cached (3, 2) page, shaped (2, 3)
+        with pytest.raises(DimensionError):
+            router.route_many(lows.reshape(2, 3), highs.reshape(2, 3))
+        assert router.metrics.snapshot()["batch_hits"] == 0
