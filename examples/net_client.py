@@ -78,16 +78,22 @@ async def dashboard(host, port, states, write_lock, rng):
         oracle_check(states[int(stamp)], *page, values)
 
         # a write lands remotely. Several connections write
-        # concurrently, so the submit and the oracle append happen
-        # under one lock: submission order *is* version order, and
-        # states[v] is in place before any reader can see stamp v.
+        # concurrently, so the oracle append and the submit happen
+        # under one lock: submission order *is* version order. The
+        # state is appended *before* the submit, because another
+        # connection's reply stamped with the new version can be
+        # handled before this submit's ack arrives.
         cell = tuple(int(rng.integers(0, n)) for n in SHAPE)
         delta = float(rng.integers(1, 50))
         async with write_lock:
-            await client.submit_batch([(cell, delta)])
             state = states[-1].copy()
             state[cell] += delta
             states.append(state)
+            try:
+                await client.submit_batch([(cell, delta)])
+            except BaseException:
+                states.pop()
+                raise
         await client.flush(timeout=30.0)
 
         values, stamp = await client.range_sum_many(*page)

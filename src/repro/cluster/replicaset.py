@@ -7,8 +7,10 @@ recent shard reads — launch it on a second node and take whichever
 answers first. The slow request is not cancelled (it finishes
 harmlessly); the tail latency a straggling replica would have imposed
 is. The delay adapts via :class:`HedgePolicy` from the cluster's own
-:class:`~repro.metrics.service.LatencyRecorder`, so hedging stays rare
-(~the chosen percentile) by construction. Replication is asynchronous
+:class:`~repro.metrics.service.LatencyRecorder`, whose quantiles cover
+only the last 4096–8192 shard reads and cost O(buckets) rather than a
+sort, so the delay follows live traffic and hedging stays rare (~the
+chosen percentile) by construction. Replication is asynchronous
 past the ack (``submit_batch`` queues the forwarded group), so before
 an arm answers, a node whose snapshot trails the shard's last
 acknowledged group first waits for its own writer to catch up — every
@@ -64,6 +66,8 @@ class HedgePolicy:
         quantile: latency percentile (0–100) of recent shard reads used
             as the hedge delay — requests slower than this get a second
             arm. 95 hedges ~5% of reads, the classic operating point.
+            "Recent" is the recorder's window of the last 4096–8192
+            reads, resolved to its bucket precision (< 4.5%).
         initial_delay_s: delay used until ``min_samples`` reads have
             been observed (cold cluster).
         min_delay_s: floor, so a burst of very fast reads cannot drive

@@ -353,6 +353,18 @@ class TestHedging:
             recorder.record(value)
         assert policy.delay(recorder) == pytest.approx(0.014)
 
+    def test_hedge_delay_follows_a_shift_after_warm_up(self):
+        from repro.metrics.service import LatencyRecorder
+
+        policy = HedgePolicy(quantile=95.0)
+        recorder = LatencyRecorder()
+        for _ in range(10_000):
+            recorder.record(0.001)
+        assert policy.delay(recorder) == pytest.approx(0.001, rel=0.05)
+        for _ in range(10_000):
+            recorder.record(0.010)
+        assert policy.delay(recorder) >= 0.009
+
     def test_hedge_policy_validation(self):
         with pytest.raises(ValueError):
             HedgePolicy(quantile=150.0)
