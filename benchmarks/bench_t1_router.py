@@ -1,20 +1,16 @@
-"""T1 — adaptive router speedup: hot repeated reads vs uncached RPS.
+"""T1 — router speedup: hot repeated reads vs uncached RPS.
 
 A dashboard keeps asking the same page of box queries between writes.
 The :class:`~repro.routing.QueryRouter` answers a repeated page from its
 snapshot-versioned result cache (one memo lookup for the whole batch)
-instead of re-running the RPS kernel, and answers *grid-aligned* boxes —
-including never-seen ones — from a coarse pre-aggregated rollup. This
-benchmark drives the S1 workload shape (1024x1024 cube, batched box
-queries) three ways and times each:
+instead of re-running the RPS kernel. This benchmark drives the S1
+workload shape (1024x1024 cube, batched box queries) two ways and times
+each:
 
 * **direct**: ``CubeService.query_many`` for every repetition — the
   uncached RPS baseline;
 * **routed hot**: the same repeated page through the router — first
-  repetition misses and fills the cache, the rest hit;
-* **routed rollup**: fresh (unrepeated) grid-aligned pages through the
-  router with a pre-built rollup — every box served from the coarse
-  prefix table without touching the RPS kernel.
+  repetition misses and fills the cache, the rest hit.
 
 The acceptance gate holds the routed hot path to **>= 5x** the direct
 RPS throughput on the repeated page, with the cache hit rate reported
@@ -44,7 +40,6 @@ SHAPE = (1024, 1024)
 BOX_SIZE = 32
 Q = 2_000
 REPEATS = 20
-ROLLUP_GRANULARITY = 64
 
 #: Repeats per timed configuration; the reported time is the median.
 TIMING_REPEATS = 3
@@ -65,24 +60,6 @@ def _hot_page(shape, q, seed):
     )
     highs = np.minimum(lows + spans, np.asarray(shape) - 1)
     return lows, highs
-
-
-def _aligned_pages(shape, q, granularity, repeats, seed):
-    """``repeats`` distinct pages of grid-aligned boxes (never reissued
-    — only the rollup tier can win these)."""
-    rng = np.random.default_rng(seed)
-    blocks = np.asarray([n // granularity for n in shape])
-    pages = []
-    for _ in range(repeats):
-        blo = np.stack(
-            [rng.integers(0, b, size=q) for b in blocks], axis=1
-        )
-        span = np.stack(
-            [rng.integers(1, b, size=q) for b in blocks], axis=1
-        )
-        bhi = np.minimum(blo + span, blocks)
-        pages.append((blo * granularity, bhi * granularity - 1))
-    return pages
 
 
 def _median(values):
@@ -109,9 +86,6 @@ def run_t1(shape=SHAPE, q=Q, repeats=REPEATS, seed=21):
     cube = datagen.uniform_cube(shape, seed=seed)
     hot = _hot_page(shape, q, seed)
     hot_pages = [hot] * repeats
-    aligned = _aligned_pages(
-        shape, q, ROLLUP_GRANULARITY, repeats, seed + 1
-    )
     with CubeService(
         RelativePrefixSumCube, cube, method_kwargs={"box_size": BOX_SIZE}
     ) as service:
@@ -119,34 +93,14 @@ def run_t1(shape=SHAPE, q=Q, repeats=REPEATS, seed=21):
         direct_s = _median(
             [_time_direct(service, hot_pages) for _ in range(TIMING_REPEATS)]
         )
-        direct_aligned_s = _median(
-            [_time_direct(service, aligned) for _ in range(TIMING_REPEATS)]
-        )
 
         hot_samples, routed_values = [], None
         for _ in range(TIMING_REPEATS):
-            with QueryRouter(service, auto_build=False) as router:
+            with QueryRouter(service) as router:
                 hot_samples.append(_time_routed(router, hot_pages))
                 routed_values = router.range_sum_many(*hot)
                 router_stats = router.stats()["router"]
         routed_hot_s = _median(hot_samples)
-
-        rollup_samples, rollup_stats = [], None
-        rollup_exact = True
-        for _ in range(TIMING_REPEATS):
-            with QueryRouter(service, auto_build=False) as router:
-                router.build_rollup(ROLLUP_GRANULARITY)
-                rollup_samples.append(_time_routed(router, aligned))
-                rollup_stats = router.stats()["router"]
-            check_lows, check_highs = aligned[0]
-            expect_aligned, _ = service.query_many(check_lows, check_highs)
-            with QueryRouter(service, auto_build=False) as router:
-                router.build_rollup(ROLLUP_GRANULARITY)
-                got = router.range_sum_many(check_lows, check_highs)
-            rollup_exact = rollup_exact and bool(
-                np.array_equal(np.asarray(got), np.asarray(expect_aligned))
-            )
-        routed_rollup_s = _median(rollup_samples)
 
     values_equal = bool(
         np.array_equal(np.asarray(routed_values), np.asarray(expected_hot))
@@ -155,17 +109,15 @@ def run_t1(shape=SHAPE, q=Q, repeats=REPEATS, seed=21):
     served = (
         router_stats["cache_hits"]
         + router_stats["batch_hits"]
-        + router_stats["rollup_hits"]
         + router_stats["backend_queries"]
     )
     return {
         "experiment": "T1",
-        "title": "Adaptive router speedup: hot repeated reads vs direct RPS",
+        "title": "Router speedup: hot repeated reads vs direct RPS",
         "shape": list(shape),
         "box_size": BOX_SIZE,
         "queries_per_page": q,
         "repeats": repeats,
-        "rollup_granularity": ROLLUP_GRANULARITY,
         "seed": seed,
         "timing_repeats": TIMING_REPEATS,
         "min_speedup_gate": MIN_SPEEDUP,
@@ -188,17 +140,6 @@ def run_t1(shape=SHAPE, q=Q, repeats=REPEATS, seed=21):
                 "queries_served": served,
                 "values_equal": values_equal,
             },
-            {
-                "config": "routed_rollup",
-                "seconds": routed_rollup_s,
-                "queries_per_s": total_queries / routed_rollup_s,
-                "speedup_vs_direct": direct_aligned_s / routed_rollup_s,
-                "direct_aligned_s": direct_aligned_s,
-                "rollup_hit_rate": rollup_stats["rollup_hit_rate"],
-                "rollup_hits": rollup_stats["rollup_hits"],
-                "backend_queries": rollup_stats["backend_queries"],
-                "values_equal": rollup_exact,
-            },
         ],
     }
 
@@ -213,15 +154,12 @@ def write_report(report, path=None):
 def test_t1_router_speedup_within_gate():
     """Acceptance gate: the routed hot page answers bit-identically to
     direct RPS, >= 5x faster, with the win coming from the cache tier
-    (hit rate >= 90%); the rollup tier is exact on aligned boxes."""
+    (hit rate >= 90%)."""
     report = run_t1()
     write_report(report)
     by_config = {row["config"]: row for row in report["rows"]}
     hot = by_config["routed_hot"]
     assert hot["values_equal"], "routed hot answers diverged from RPS"
-    assert by_config["routed_rollup"]["values_equal"], (
-        "rollup answers diverged from RPS on aligned boxes"
-    )
     assert hot["cache_hit_rate"] >= MIN_HIT_RATE, (
         f"cache hit rate {hot['cache_hit_rate']:.3f} below "
         f"{MIN_HIT_RATE} — the router is not winning from the cache"
@@ -238,7 +176,7 @@ def main():
     print(f"wrote {path}")
     for row in report["rows"]:
         speedup = row.get("speedup_vs_direct")
-        rate = row.get("cache_hit_rate", row.get("rollup_hit_rate"))
+        rate = row.get("cache_hit_rate")
         print(
             f"  {row['config']:>14}  {row['seconds']*1e3:9.2f} ms  "
             f"{row['queries_per_s']:>12.0f} q/s"

@@ -1,4 +1,4 @@
-"""A dashboard served through the adaptive query router.
+"""A dashboard served through the query router.
 
 A BI dashboard asks the same page of box-sum queries over and over —
 refresh after refresh — while a write stream trickles in behind it.
@@ -10,9 +10,7 @@ This example puts a :class:`~repro.routing.QueryRouter` in front of a
 * every refresh until the next write is a cache hit — one whole-batch
   memo lookup keyed by the page bytes and the snapshot version;
 * a write invalidates *precisely* by bumping the snapshot version
-  (no TTLs, no purge scans — old entries simply stop matching);
-* grid-aligned drill-downs the cache has never seen are answered from
-  a pre-aggregated rollup, still exactly.
+  (no TTLs, no purge scans — old entries simply stop matching).
 
 Every answer is checked against a brute-force oracle, then the per-tier
 hit rates are printed — the same numbers `repro-bench router` and the
@@ -31,7 +29,6 @@ SHAPE = (256, 256)
 PAGE_BOXES = 24
 REFRESHES_PER_EDIT = 5
 EDITS = 8
-GRANULARITY = 32
 
 
 def make_page(rng):
@@ -40,22 +37,6 @@ def make_page(rng):
     for _ in range(PAGE_BOXES):
         lo = [int(rng.integers(0, n - 40)) for n in SHAPE]
         hi = [l + int(rng.integers(8, 40)) for l in lo]
-        lows.append(lo)
-        highs.append(hi)
-    return np.array(lows), np.array(highs)
-
-
-def aligned_page(rng):
-    """Grid-aligned drill-down boxes a rollup can answer directly."""
-    blocks = [n // GRANULARITY for n in SHAPE]
-    lows, highs = [], []
-    for _ in range(PAGE_BOXES):
-        lo, hi = [], []
-        for axis, nb in enumerate(blocks):
-            a = int(rng.integers(0, nb))
-            b = int(rng.integers(a, nb))
-            lo.append(a * GRANULARITY)
-            hi.append((b + 1) * GRANULARITY - 1)
         lows.append(lo)
         highs.append(hi)
     return np.array(lows), np.array(highs)
@@ -73,10 +54,8 @@ def main():
     mirror = cube.copy()  # the brute-force oracle state
 
     with CubeService(RelativePrefixSumCube, cube) as service:
-        with QueryRouter(service, auto_build=False) as router:
-            router.build_rollup(GRANULARITY)
+        with QueryRouter(service) as router:
             page = make_page(rng)
-            drill = aligned_page(rng)
 
             for edit in range(EDITS):
                 for refresh in range(REFRESHES_PER_EDIT):
@@ -84,12 +63,6 @@ def main():
                     oracle_check(mirror, *page, batch.values)
                     if refresh > 0:
                         assert set(batch.tiers) == {"cache"}, batch.tiers
-                # a drill-down page never rendered before: the rollup
-                # answers its aligned boxes without touching the backend
-                batch = router.route_many(*drill)
-                oracle_check(mirror, *drill, batch.values)
-                assert "rollup" in set(batch.tiers), batch.tiers
-
                 # one edit lands: the version bump orphans every cached
                 # entry, and the next render recomputes exactly
                 cell = tuple(int(rng.integers(0, n)) for n in SHAPE)
@@ -97,26 +70,22 @@ def main():
                 router.submit_delta(cell, delta)
                 router.flush()
                 mirror[cell] += delta
-                router.build_rollup(GRANULARITY)  # re-materialize fresh
-                drill = aligned_page(rng)
 
             stats = router.stats()["router"]
             served = (
                 stats["cache_hits"] + stats["batch_hits"]
-                + stats["rollup_hits"] + stats["backend_queries"]
+                + stats["backend_queries"]
             )
             print(f"dashboard over {SHAPE} cube, {EDITS} edits, "
                   f"{REFRESHES_PER_EDIT} refreshes per edit:")
             print(f"  box queries answered : {served}")
             print(f"  cache hit rate       : {stats['cache_hit_rate']:.1%}")
-            print(f"  rollup hit rate      : {stats['rollup_hit_rate']:.1%}")
             print(f"  backend (RPS) rate   : {stats['backend_rate']:.1%}")
             stale = (stats["cache_stale_rejects"]
                      + stats["batch_stale_rejects"])
             print(f"  stale rejects        : {stale} "
                   f"(each one is a precisely-invalidated write)")
             assert stats["cache_hit_rate"] > 0.5, "cache never warmed?"
-            assert stats["rollup_hits"] > 0, "rollup never served?"
     print("router dashboard example OK")
 
 

@@ -101,11 +101,8 @@ from repro.metrics import (
 )
 from repro.net import Authenticator, CubeClient, CubeServer, Tenant
 from repro.routing import (
-    HotPatternTracker,
     QueryRouter,
     ResultCache,
-    RollupBuilder,
-    RollupCube,
     RoutedBatch,
 )
 from repro.serve import (
@@ -150,7 +147,6 @@ __all__ = [
     "FaultPlan",
     "FenwickCube",
     "HedgePolicy",
-    "HotPatternTracker",
     "InjectedFault",
     "HierarchicalRPSCube",
     "IdentityEncoder",
@@ -175,8 +171,6 @@ __all__ = [
     "ResultCache",
     "RollingCubeService",
     "RollingServiceTarget",
-    "RollupBuilder",
-    "RollupCube",
     "RoutedBatch",
     "ServiceClosedError",
     "ServiceTarget",

@@ -10,9 +10,9 @@ Subcommands:
 * ``profile`` — measure methods' empirical cost spec sheets.
 * ``cluster`` — drive a replicated, sharded serving cluster (optionally
   killing a primary mid-run) and print its operational stats.
-* ``router`` — serve a repeated dashboard workload through the adaptive
-  query router and print per-tier hit rates (``--no-cache`` /
-  ``--no-rollup`` toggle individual tiers).
+* ``router`` — serve a repeated dashboard workload through the query
+  router and print per-tier hit rates (``--no-cache`` turns the cache
+  tier off).
 * ``serve`` — stand up the TCP serving tier (``repro.net``) in front of
   a cube service, optionally routed (``--router``) and tenant-gated
   (``--tenant name=token[:rate[:burst]]``), until interrupted.
@@ -274,15 +274,16 @@ def _cmd_router(args) -> int:
     rng = np.random.default_rng(args.seed)
     shape = (args.n, args.n)
     cube = rng.integers(0, 100, shape).astype(np.float64)
-    g = args.granularity
+    # drill-downs snap to an 8x8 grid of blocks
+    g = max(1, args.n // 8)
     print(
         f"router: {args.n}x{args.n} cube, {args.rounds} rounds x "
         f"{args.queries} queries, cache={'on' if args.cache else 'off'}, "
-        f"rollup={'on' if args.rollup else 'off'}, seed {args.seed}"
+        f"seed {args.seed}"
     )
     # a dashboard-shaped workload: a fixed page of hot boxes asked every
-    # round (cache tier), grid-aligned drill-downs (rollup tier), and a
-    # trickle of ad-hoc boxes (RPS tier), with writes between rounds
+    # round (cache tier) and fresh grid-aligned drill-downs (RPS tier),
+    # with writes between rounds
     hot_lows = rng.integers(0, args.n // 2, (args.queries, 2))
     hot_highs = np.minimum(hot_lows + rng.integers(1, args.n // 2,
                                                    (args.queries, 2)),
@@ -290,12 +291,7 @@ def _cmd_router(args) -> int:
     blocks = args.n // g
     mismatches = 0
     with CubeService(RelativePrefixSumCube, cube) as service:
-        with QueryRouter(
-            service, enable_cache=args.cache, enable_rollup=args.rollup,
-            auto_build=False,
-        ) as router:
-            if args.rollup:
-                router.build_rollup(g)
+        with QueryRouter(service, enable_cache=args.cache) as router:
             oracle = VersionOracle(cube)
             for round_no in range(args.rounds):
                 blo = rng.integers(0, blocks, (args.queries, 2)) * g
@@ -315,8 +311,6 @@ def _cmd_router(args) -> int:
                     router.submit_batch([(cell, delta)])
                     router.flush()
                     oracle.record([(cell, delta)])
-                    if args.rollup:
-                        router.build_rollup(g)
     stats = router.stats()
     print(f"\n{mismatches} mismatches")
     print(json.dumps(stats["router"], indent=2, default=str))
@@ -569,8 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     router_parser = sub.add_parser(
         "router",
-        help="serve a dashboard workload through the adaptive query "
-             "router and print per-tier hit rates",
+        help="serve a dashboard workload through the query router and "
+             "print per-tier hit rates",
     )
     router_parser.add_argument("--n", type=int, default=128)
     router_parser.add_argument(
@@ -586,16 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="times each page is re-asked per round (default 3)",
     )
     router_parser.add_argument(
-        "--granularity", type=int, default=16,
-        help="rollup grid size (default 16)",
-    )
-    router_parser.add_argument(
         "--no-cache", dest="cache", action="store_false",
         help="disable the memoized result tier",
-    )
-    router_parser.add_argument(
-        "--no-rollup", dest="rollup", action="store_false",
-        help="disable the pre-aggregated rollup tier",
     )
     router_parser.add_argument("--seed", type=int, default=0)
     router_parser.set_defaults(func=_cmd_router)
@@ -615,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--seed", type=int, default=0)
     serve_parser.add_argument(
         "--router", action="store_true",
-        help="front the service with the adaptive query router",
+        help="front the service with the query router",
     )
     serve_parser.add_argument(
         "--tenant", action="append", default=[],

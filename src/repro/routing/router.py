@@ -1,4 +1,4 @@
-"""The two-tier adaptive query router: cache -> rollup -> RPS.
+"""The two-tier query router: cache -> RPS.
 
 :class:`QueryRouter` sits in front of a
 :class:`~repro.serve.CubeService` (or a
@@ -11,15 +11,8 @@ the cheapest tier that can answer it **exactly**:
    one dictionary lookup. Writes invalidate precisely through the
    serving layer's version handoff: a new snapshot version simply never
    matches an old entry, and the mismatch is counted as a stale reject.
-2. **Rollup** — coarse pre-aggregated prefix cubes
-   (:class:`~repro.routing.rollup.RollupCube`) materialized on a
-   background thread for grid granularities the
-   :class:`~repro.routing.hotness.HotPatternTracker` has learned are
-   hot. A rollup answers *any* aligned box, seen before or not, and is
-   discarded the moment its build stamp stops matching the current
-   snapshot version.
-3. **RPS fallback** — the backend itself, which is already exact for
-   everything.
+2. **RPS** — the backend itself, which answers any box, aligned or
+   not, with a fixed handful of cell reads per corner.
 
 The correctness contract — the one the property suite enforces — is
 that every answer is stamped with the snapshot version(s) it was
@@ -40,13 +33,10 @@ import numpy as np
 from repro.core import indexing
 from repro.deadline import Deadline
 from repro.metrics.registry import MetricsRegistry
-from repro.routing.cache import HIT, MISS, STALE, ResultCache
-from repro.routing.hotness import HotPatternTracker
-from repro.routing.rollup import RollupBuilder
+from repro.routing.cache import HIT, STALE, ResultCache
 
 #: tier labels stamped on every routed answer
 TIER_CACHE = "cache"
-TIER_ROLLUP = "rollup"
 TIER_RPS = "rps"
 
 #: batches larger than this skip the per-box cache tier: per-box lookups
@@ -90,7 +80,7 @@ class RoutedBatch:
             an ``int`` service version, or an ``(epoch, *versions)``
             tuple for cluster backends, fencing the answer to the
             shard-map epoch it was read under.
-        tiers: per-query serving tier (``"cache"``/``"rollup"``/``"rps"``).
+        tiers: per-query serving tier (``"cache"`` or ``"rps"``).
         estimates: per-query :class:`~repro.cluster.degraded.RangeEstimate`
             for degraded answers, ``None`` for exact ones. Estimated
             answers are never cached — the slot and its marker exist
@@ -271,21 +261,22 @@ def wrap_backend(backend):
 class TierMetrics(MetricsRegistry):
     """The router's registry: per-tier counters and latencies.
 
-    Units are individual box queries. A stale reject is an entry or
-    rollup found but refused because the snapshot version moved on
-    (each one is a precisely-invalidated write). ``route_latency`` times
-    whole routed calls (a call may carry a batch); ``backend_latency``
-    times the fallback reads that reached the RPS service/cluster.
+    Units are individual box queries. A stale reject is an entry found
+    but refused because the snapshot version moved on (each one is a
+    precisely-invalidated write). ``route_latency`` times whole routed
+    calls (a call may carry a batch); ``backend_latency`` times the
+    fallback reads that reached the RPS service/cluster.
     """
 
     def __init__(self) -> None:
         super().__init__(
             counters=(
-                "queries_routed", "cache_hits", "batch_hits", "rollup_hits",
+                "queries_routed", "cache_hits", "batch_hits",
                 "backend_queries", "cache_stale_rejects",
-                "batch_stale_rejects", "rollup_stale_rejects",
-                "rollup_builds", "rollup_build_failures", "rollup_discards",
-                "deadline_exceeded",
+                "batch_stale_rejects", "deadline_exceeded",
+                # always 0 since the rollup tier was deleted; kept only
+                # because perfbench/net_dashboard.py reads both keys
+                "rollup_hits", "rollup_stale_rejects",
             ),
             latencies=("route_latency", "backend_latency"),
         )
@@ -294,10 +285,9 @@ class TierMetrics(MetricsRegistry):
         """All tallies plus each tier's share of the queries served."""
         report = super().snapshot()
         cached = report["cache_hits"] + report["batch_hits"]
-        served = cached + report["rollup_hits"] + report["backend_queries"]
+        served = cached + report["backend_queries"]
         report.update(
             cache_hit_rate=cached / served if served else 0.0,
-            rollup_hit_rate=report["rollup_hits"] / served if served else 0.0,
             backend_rate=(
                 report["backend_queries"] / served if served else 0.0
             ),
@@ -306,20 +296,14 @@ class TierMetrics(MetricsRegistry):
 
 
 class QueryRouter:
-    """Route each box query cache -> rollup -> RPS, exactly.
+    """Route each box query cache -> RPS, exactly.
 
     Args:
         backend: a :class:`~repro.serve.CubeService`,
             :class:`~repro.cluster.CubeCluster`, or backend adapter.
         enable_cache: serve/populate the memoized result tier.
-        enable_rollup: learn hot patterns and serve from rollups.
         cache: a pre-built :class:`~repro.routing.cache.ResultCache`
             (defaults to 64 MiB / 64 Ki entries).
-        tracker: a pre-built
-            :class:`~repro.routing.hotness.HotPatternTracker`.
-        auto_build: request background rollup builds for granularities
-            the tracker reports hot (set False for deterministic tests
-            and call :meth:`build_rollup` yourself).
         metrics: a shared :class:`TierMetrics`.
 
     Use as a context manager or call :meth:`close` (the backing
@@ -327,7 +311,7 @@ class QueryRouter:
 
         with CubeService(RelativePrefixSumCube, cube) as svc:
             with QueryRouter(svc) as router:
-                hot = router.range_sum_many(lows, highs)   # warms tiers
+                hot = router.range_sum_many(lows, highs)   # fills the cache
                 hot = router.range_sum_many(lows, highs)   # cache hit
     """
 
@@ -336,40 +320,17 @@ class QueryRouter:
         backend,
         *,
         enable_cache: bool = True,
-        enable_rollup: bool = True,
         cache: Optional[ResultCache] = None,
-        tracker: Optional[HotPatternTracker] = None,
-        auto_build: bool = True,
-        max_rollups: int = 4,
-        per_box_cache_max_batch: int = PER_BOX_CACHE_MAX_BATCH,
-        observe_every: int = 4,
         metrics: Optional[TierMetrics] = None,
     ) -> None:
         self.backend = wrap_backend(backend)
         self.shape = self.backend.shape
         self.metrics = metrics if metrics is not None else TierMetrics()
         self.enable_cache = bool(enable_cache)
-        self.enable_rollup = bool(enable_rollup)
-        self.auto_build = bool(auto_build)
         # explicit None checks: an *empty* ResultCache is falsy (len 0),
         # so ``cache or ResultCache()`` would silently drop an injected
         # empty cache
         self.cache = cache if cache is not None else ResultCache()
-        self.per_box_cache_max_batch = int(per_box_cache_max_batch)
-        # hotness statistics are sampled 1-in-N routed calls: admission
-        # thresholds only need rates, and the tracker must never be the
-        # reason the cache-hit fast path stops being fast
-        self.observe_every = max(1, int(observe_every))
-        self._observe_tick = 0
-        self.tracker = (
-            tracker if tracker is not None else HotPatternTracker(self.shape)
-        )
-        self.builder: Optional[RollupBuilder] = None
-        if self.enable_rollup:
-            self.builder = RollupBuilder(
-                self.backend, self.metrics, max_rollups=max_rollups
-            )
-        self._closed = False
 
     # -- reads ---------------------------------------------------------------
 
@@ -417,7 +378,6 @@ class QueryRouter:
             status, value = self.cache.get(batch_key, stamp)
             if status is HIT:
                 self.metrics.inc(batch_hits=q, queries_routed=q)
-                self._observe(lows, highs)
                 self.metrics.observe(
                     "route_latency", time.perf_counter() - start
                 )
@@ -429,15 +389,12 @@ class QueryRouter:
                 lows, highs, self.shape
             )
 
-        # each tier contributes (slots, values, stamp, tier); the batch
-        # is assembled with vectorized fills at the end so a 10^4-box
-        # page never pays a per-box Python loop outside the cache tier
-        filled: list = []
+        # the batch is assembled with vectorized fills at the end so a
+        # 10^4-box page never pays a per-box Python loop outside the
+        # cache tier
         hit_slots: list = []
         hit_values: list = []
-        use_box_cache = (
-            self.enable_cache and q <= self.per_box_cache_max_batch
-        )
+        use_box_cache = self.enable_cache and q <= PER_BOX_CACHE_MAX_BATCH
 
         # tier 1b: per-box memoized results (small interactive batches —
         # large pages are the batch memo's job)
@@ -462,14 +419,9 @@ class QueryRouter:
         else:
             pending = np.arange(q, dtype=np.intp)
 
-        # tier 2: pre-aggregated rollups, freshness-gated on the stamp
-        if len(pending) and self.builder is not None:
-            pending = self._serve_from_rollups(
-                lows, highs, pending, stamp, filled
-            )
-
-        # tier 3: the RPS backend answers whatever is left, in one batch
+        # tier 2: the RPS backend answers whatever is left, in one batch
         box_estimates = None
+        rps_values = backend_stamp = None
         if len(pending):
             backend_start = time.perf_counter()
             estimated_query = (
@@ -494,10 +446,9 @@ class QueryRouter:
             self.metrics.observe(
                 "backend_latency", time.perf_counter() - backend_start
             )
-            values = np.asarray(values)
-            filled.append((pending, values, backend_stamp, TIER_RPS))
+            rps_values = np.asarray(values)
             if use_box_cache:
-                for j, (slot, value) in enumerate(zip(pending, values)):
+                for j, (slot, value) in enumerate(zip(pending, rps_values)):
                     if (
                         box_estimates is not None
                         and box_estimates[j] is not None
@@ -506,8 +457,8 @@ class QueryRouter:
                     key = ("box", lows[slot].tobytes(), highs[slot].tobytes())
                     self.cache.put(key, backend_stamp, value)
 
-        # assemble the batch: vectorized scatter per tier
-        sources = [vals for _, vals, _, _ in filled]
+        # assemble the batch: one vectorized scatter per tier
+        sources = [] if rps_values is None else [rps_values]
         if hit_slots:
             hit_values = np.asarray(hit_values)
             sources.append(hit_values)
@@ -515,10 +466,10 @@ class QueryRouter:
         out = np.empty(q, dtype=dtype)
         stamps = np.empty(q, dtype=object)
         tiers = np.empty(q, dtype=object)
-        for slots, vals, tier_stamp, tier in filled:
-            out[slots] = vals
-            tiers[slots] = tier
-            _assign_object(stamps, slots, tier_stamp)
+        if rps_values is not None:
+            out[pending] = rps_values
+            tiers[pending] = TIER_RPS
+            _assign_object(stamps, pending, backend_stamp)
         if hit_slots:
             hit_idx = np.asarray(hit_slots, dtype=np.intp)
             out[hit_idx] = hit_values
@@ -533,66 +484,16 @@ class QueryRouter:
 
         # memoize the whole batch when one snapshot answered everything
         # — and no slot was estimated (degraded answers never enter any
-        # cache tier); every slot carries its tier's stamp, so the few
+        # cache tier); every slot carries its tier's stamp, so the two
         # tier stamps decide it without a per-slot pass
         if batch_key is not None and estimates is None:
-            tier_stamps = [s for _, _, s, _ in filled]
-            if hit_slots:
-                tier_stamps.append(stamp)
-            uniform = tier_stamps[0]
-            if all(s == uniform for s in tier_stamps):
-                self.cache.put(batch_key, uniform, out)
-        self._observe(lows, highs)
+            if rps_values is None:
+                self.cache.put(batch_key, stamp, out)
+            elif not hit_slots or backend_stamp == stamp:
+                self.cache.put(batch_key, backend_stamp, out)
         self.metrics.inc(queries_routed=q)
         self.metrics.observe("route_latency", time.perf_counter() - start)
         return RoutedBatch(out, stamps.tolist(), tiers.tolist(), estimates)
-
-    def _serve_from_rollups(
-        self, lows, highs, pending, stamp, filled
-    ) -> np.ndarray:
-        """Fill aligned pending queries from fresh rollups; returns the
-        still-unanswered indices."""
-        served_total = 0
-        for granularity, rollup in self.builder.published().items():
-            if not len(pending):
-                break
-            if rollup.stamp != stamp:
-                # built from a superseded snapshot: the version handoff
-                # has invalidated it — discard, and rebuild if the
-                # pattern is still hot
-                self.builder.discard_stale(stamp)
-                if self.auto_build and granularity in (
-                    self.tracker.hot_granularities()
-                ):
-                    self.builder.request(granularity)
-                continue
-            mask = rollup.covers_mask(lows[pending], highs[pending])
-            if not mask.any():
-                continue
-            covered = pending[mask]
-            values = rollup.range_sum_many(lows[covered], highs[covered])
-            filled.append((covered, values, rollup.stamp, TIER_ROLLUP))
-            served_total += len(covered)
-            pending = pending[~mask]
-        if served_total:
-            self.metrics.inc(rollup_hits=served_total)
-        return pending
-
-    def _observe(self, lows, highs) -> None:
-        """Feed the tracker (1-in-``observe_every`` calls); kick off
-        builds for newly-hot patterns."""
-        if self.builder is None:
-            return
-        tick = self._observe_tick
-        self._observe_tick = tick + 1
-        if tick % self.observe_every:
-            return
-        self.tracker.observe_many(lows, highs)
-        if not self.auto_build:
-            return
-        for granularity in self.tracker.hot_granularities():
-            if self.builder.get(granularity) is None:
-                self.builder.request(granularity)
 
     def range_sum_many(
         self,
@@ -653,52 +554,25 @@ class QueryRouter:
     def flush(self, timeout: Optional[float] = None):
         return self.backend.flush(timeout=timeout)
 
-    # -- rollup control ------------------------------------------------------
-
-    def build_rollup(self, granularity: int, *, wait: bool = True):
-        """Materialize a rollup now (``wait=True``) or in the background.
-
-        Returns the published :class:`~repro.routing.rollup.RollupCube`
-        when building synchronously (None on a degraded/failed build).
-        """
-        if self.builder is None:
-            raise ValueError("rollup tier is disabled on this router")
-        if wait:
-            return self.builder.build_now(granularity)
-        self.builder.request(granularity)
-        return None
-
     def purge(self) -> None:
-        """Drop every cached result and published rollup (hygiene —
-        correctness never requires it)."""
+        """Drop every cached result (hygiene — correctness never
+        requires it)."""
         self.cache.purge()
-        if self.builder is not None:
-            for granularity in list(self.builder.published()):
-                self.builder._published.pop(granularity, None)
 
     # -- lifecycle and reporting ---------------------------------------------
 
     def stats(self) -> Dict:
-        """Router tiers, cache occupancy, tracker state, and the
-        backend's own stats, one plain dict."""
-        report = {
+        """Router tiers, cache occupancy and the backend's own stats,
+        one plain dict."""
+        return {
             "router": self.metrics.snapshot(),
             "cache": self.cache.stats(),
-            "tracker": self.tracker.stats(),
-            "rollups": (
-                self.builder.stats() if self.builder is not None else None
-            ),
+            "backend": self.backend.stats(),
         }
-        report["backend"] = self.backend.stats()
-        return report
 
     def close(self) -> None:
-        """Stop the rollup builder (the backend is left running)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self.builder is not None:
-            self.builder.close()
+        """Nothing to stop: the router owns no thread, and the backend
+        is left running."""
 
     def __enter__(self) -> "QueryRouter":
         return self
@@ -708,6 +582,5 @@ class QueryRouter:
 
     def __repr__(self) -> str:
         return (
-            f"QueryRouter(shape={self.shape}, cache={self.enable_cache}, "
-            f"rollup={self.enable_rollup})"
+            f"QueryRouter(shape={self.shape}, cache={self.enable_cache})"
         )

@@ -47,6 +47,13 @@ class TestDemo:
         assert "64" in out           # prefix sum comparison
 
 
+class TestRouter:
+    def test_router_workload_matches_the_oracle(self, capsys):
+        argv = ["router", "--n", "64", "--rounds", "2", "--queries", "8"]
+        assert main(argv) == 0
+        assert "\n0 mismatches\n" in capsys.readouterr().out
+
+
 class TestIngest:
     def write_csv(self, path, rows):
         lines = ["x,y,sales"] + [f"{x},{y},{s}" for x, y, s in rows]

@@ -246,9 +246,7 @@ class TestRouterDegradedReads:
         oracle = cube.astype(np.float64)
         plan = FaultPlan(seed=5)
         with make_cluster(tmp_path, cube, fault_plan=plan) as cluster:
-            router = QueryRouter(
-                ClusterBackend(cluster), enable_rollup=False
-            )
+            router = QueryRouter(ClusterBackend(cluster))
             kill_shard(plan, 1)
             low, high = (4, 1), (20, 8)  # spans the dead shard
             truth = brute_range_sum(oracle, low, high)
@@ -267,9 +265,7 @@ class TestRouterDegradedReads:
         cube = make_cube(rng)
         plan = FaultPlan(seed=5)
         with make_cluster(tmp_path, cube, fault_plan=plan) as cluster:
-            router = QueryRouter(
-                ClusterBackend(cluster), enable_rollup=False
-            )
+            router = QueryRouter(ClusterBackend(cluster))
             kill_shard(plan, 1)
             dead_box = ((4, 1), (20, 8))
             live_box = ((0, 0), (6, 9))  # shard 0 only
@@ -296,9 +292,7 @@ class TestRouterDegradedReads:
         cube = make_cube(rng)
         plan = FaultPlan(seed=5)
         with make_cluster(tmp_path, cube, fault_plan=plan) as cluster:
-            router = QueryRouter(
-                ClusterBackend(cluster), enable_rollup=False
-            )
+            router = QueryRouter(ClusterBackend(cluster))
             kill_shard(plan, 1)
             with pytest.raises(ClusterUnavailableError):
                 router.range_sum_many([(4, 1)], [(20, 8)])
@@ -310,9 +304,7 @@ class TestNetDegradedReads:
         oracle = cube.astype(np.float64)
         plan = FaultPlan(seed=5)
         with make_cluster(tmp_path, cube, fault_plan=plan) as cluster:
-            router = QueryRouter(
-                ClusterBackend(cluster), enable_rollup=False
-            )
+            router = QueryRouter(ClusterBackend(cluster))
             with CubeServer(router, port=0) as server:
                 host, port = server.address
 

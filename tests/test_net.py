@@ -326,7 +326,7 @@ class TestServerHappyPath:
 
     def test_router_backend_serves_and_caches(self):
         with small_service() as (svc, cube):
-            with QueryRouter(svc, auto_build=False) as router:
+            with QueryRouter(svc) as router:
                 with serving(router) as server:
                     async def scenario():
                         host, port = server.address

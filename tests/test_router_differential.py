@@ -4,8 +4,8 @@ bit for bit.
 The router's tiers must be *indistinguishable* from the backend they
 front. For cubes of dimension 1 through 3 this suite drives the same
 workload through three configurations — the cache tier (a router asked
-the same page twice), the rollup tier (cache disabled, rollup
-pre-built), and direct ``CubeService.query_many`` — and requires
+the same page twice), the routed RPS tier (cache disabled), and direct
+``CubeService.query_many`` — and requires
 ``np.array_equal`` on the answers: integer-valued cubes make every sum
 exact in float64, so any tier that diverges by even one ULP fails.
 
@@ -42,7 +42,8 @@ GRANULARITY = {1: 4, 2: 4, 3: 2}
 
 
 def _workload(shape, seed, rounds=4, queries=12, writes=3):
-    """Per-round query pages (aligned + unaligned mix) and write groups."""
+    """Per-round query pages (grid-aligned + ragged mix) and write
+    groups."""
     rng = np.random.default_rng(seed)
     g = GRANULARITY[len(shape)]
     plan = []
@@ -77,26 +78,21 @@ def _workload(shape, seed, rounds=4, queries=12, writes=3):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_cache_rollup_and_direct_agree_bitwise(d):
+def test_cache_and_direct_agree_bitwise(d):
     """Quiesced differential, d=1..3: direct RPS, the cache tier, and
-    the rollup tier return identical bits round after round, with
+    the routed RPS tier return identical bits round after round, with
     writes (and therefore invalidation) between rounds."""
     shape = SHAPES[d]
-    g = GRANULARITY[d]
     rng = np.random.default_rng(d)
     cube = rng.integers(0, 100, shape).astype(np.float64)
     plan = _workload(shape, seed=d + 10)
     with CubeService(RelativePrefixSumCube, cube) as direct_service, \
             CubeService(RelativePrefixSumCube, cube) as cached_service, \
-            CubeService(RelativePrefixSumCube, cube) as rollup_service:
-        with QueryRouter(
-            cached_service, enable_rollup=False, observe_every=1
-        ) as cache_router, QueryRouter(
-            rollup_service, enable_cache=False, auto_build=False,
-            observe_every=1,
-        ) as rollup_router:
+            CubeService(RelativePrefixSumCube, cube) as rps_service:
+        with QueryRouter(cached_service) as cache_router, QueryRouter(
+            rps_service, enable_cache=False
+        ) as rps_router:
             for lows, highs, group in plan:
-                rollup_router.build_rollup(g)
                 direct, _ = direct_service.query_many(lows, highs)
                 direct = np.asarray(direct)
 
@@ -107,14 +103,11 @@ def test_cache_rollup_and_direct_agree_bitwise(d):
                 assert np.array_equal(np.asarray(cold.values), direct)
                 assert np.array_equal(np.asarray(warm.values), direct)
 
-                rolled = rollup_router.route_many(lows, highs)
-                aligned = np.asarray(rolled.tiers) == "rollup"
-                assert aligned.any(), "workload produced no aligned boxes"
-                assert np.array_equal(np.asarray(rolled.values), direct)
+                routed = rps_router.route_many(lows, highs)
+                assert set(routed.tiers) == {"rps"}
+                assert np.array_equal(np.asarray(routed.values), direct)
 
-                for service in (
-                    direct_service, cached_service, rollup_service
-                ):
+                for service in (direct_service, cached_service, rps_service):
                     service.submit_batch(group)
                     service.flush()
 
@@ -132,8 +125,7 @@ def test_dashboard_scenario_routed_equals_direct():
     updates = scenario.make_updates(shape, 40, seed=5)
     with CubeService(RelativePrefixSumCube, cube) as direct_service, \
             CubeService(RelativePrefixSumCube, cube) as routed_service:
-        with QueryRouter(routed_service, observe_every=1) as router:
-            router.build_rollup(4)
+        with QueryRouter(routed_service) as router:
             for step, (low, high) in enumerate(queries):
                 direct, _ = direct_service.query_many([low], [high])
                 routed = router.route_many([low], [high])
@@ -171,8 +163,7 @@ class TestCrashMatrix:
                 for lo, hi in zip(lows, highs)
             ])
             assert np.array_equal(np.asarray(direct), oracle)
-            with QueryRouter(recovered, observe_every=1) as router:
-                router.build_rollup(4)
+            with QueryRouter(recovered) as router:
                 cold = router.route_many(lows, highs)
                 warm = router.route_many(lows, highs)
                 assert np.array_equal(np.asarray(cold.values), oracle)
@@ -218,7 +209,7 @@ class TestCrashMatrix:
 def test_reads_racing_version_swaps():
     """Concurrency differential: routed readers race a writer that
     churns snapshot versions; every answer must equal the per-version
-    oracle at its own stamp — cache and rollup tiers included."""
+    oracle at its own stamp — cache and RPS tiers alike."""
     shape = (12, 12)
     rng = np.random.default_rng(42)
     cube = rng.integers(0, 50, shape).astype(np.float64)
@@ -230,7 +221,7 @@ def test_reads_racing_version_swaps():
     stop = threading.Event()
 
     with CubeService(RelativePrefixSumCube, cube) as service:
-        with QueryRouter(service, auto_build=False, observe_every=1) as router:
+        with QueryRouter(service) as router:
 
             def reader():
                 while not stop.is_set():
@@ -252,10 +243,6 @@ def test_reads_racing_version_swaps():
                 router.submit_batch(group)
                 if i % 7 == 0:
                     router.flush()
-                if i % 10 == 0 and not stop.is_set():
-                    # occasionally publish a rollup snapshot for readers
-                    # to race against the next version swap
-                    router.build_rollup(4)
             router.flush()
             stop.set()
             for t in threads:

@@ -1,7 +1,7 @@
 """Property-based invalidation suite for the query router.
 
-Hypothesis drives randomized interleavings of submits, flushes, rollup
-builds, and routed reads against a :class:`~repro.routing.QueryRouter`,
+Hypothesis drives randomized interleavings of submits, flushes and
+routed reads against a :class:`~repro.routing.QueryRouter`,
 and checks three invariants on **every** answer of every read:
 
 * **P1 (stamped exactness)** — the value equals the brute-force oracle
@@ -84,8 +84,8 @@ def _dims(draw):
 
 @st.composite
 def programs(draw):
-    """A cube plus an op sequence over it: submits, flushes, rollup
-    builds, and multi-box reads."""
+    """A cube plus an op sequence over it: submits, flushes and
+    multi-box reads."""
     shape = _dims(draw)
 
     def cells():
@@ -118,9 +118,6 @@ def programs(draw):
             st.just("read"),
             st.lists(boxes(), min_size=1, max_size=6),
         ),
-        st.tuples(
-            st.just("rollup"), st.sampled_from((2, 4))
-        ),
     )
     ops = draw(st.lists(op, min_size=2, max_size=14))
     seed = draw(st.integers(min_value=0, max_value=2**16))
@@ -138,12 +135,7 @@ def run_program(
         backend = ServiceBackend(service)
         if backend_wrap is not None:
             backend = backend_wrap(backend)
-        with QueryRouter(
-            backend,
-            cache=cache_cls(),
-            auto_build=False,
-            observe_every=1,
-        ) as router:
+        with QueryRouter(backend, cache=cache_cls()) as router:
             for op in ops:
                 if op[0] == "write":
                     group = [(cell, float(d)) for cell, d in op[1]]
@@ -152,8 +144,6 @@ def run_program(
                 elif op[0] == "flush":
                     router.flush()
                     harness.record_flush()
-                elif op[0] == "rollup":
-                    router.build_rollup(op[1])
                 elif op[0] == "read":
                     lows = np.array([b[0] for b in op[1]])
                     highs = np.array([b[1] for b in op[1]])
@@ -171,7 +161,7 @@ def run_program(
 @settings(max_examples=60, deadline=None)
 @given(program=programs())
 def test_every_routed_answer_matches_oracle_at_its_stamp(program):
-    """P1/P2/P3 hold over randomized submit/flush/build/read
+    """P1/P2/P3 hold over randomized submit/flush/read
     interleavings: each answer equals the oracle at the version stamped
     on the response, never below the flushed floor, never regressing."""
     run_program(*program)

@@ -105,9 +105,8 @@ def test_router_metrics_keys():
     assert scalars == {
         "queries_routed", "cache_hits", "batch_hits", "rollup_hits",
         "backend_queries", "cache_stale_rejects", "batch_stale_rejects",
-        "rollup_stale_rejects", "rollup_builds", "rollup_build_failures",
-        "rollup_discards", "deadline_exceeded", "cache_hit_rate",
-        "rollup_hit_rate", "backend_rate",
+        "rollup_stale_rejects", "deadline_exceeded", "cache_hit_rate",
+        "backend_rate",
     }
     assert keyed == set()
     assert latencies == {"route_latency", "backend_latency"}

@@ -24,8 +24,10 @@ only the fault choreography:
   it).
 * ``router`` races concurrent readers of a
   :class:`~repro.routing.QueryRouter` against writer churn while a fault
-  fails rollup *builds* mid-round: a failed build must degrade to the
-  RPS fallback, and a build must succeed again once the fault heals.
+  fails every backend read in the middle third of the round: each
+  injected fault must reach exactly one reader (never swallowed, never
+  silently retried), no failed read may poison the cache, and reads
+  must be exact again once the fault heals.
 * ``net`` fronts a service whose writer is slowed by injected apply
   latency with a :class:`~repro.net.CubeServer`; batched and streaming
   socket clients read while a client writes, and mid-round the round
@@ -304,31 +306,27 @@ def _run_cluster(rng, params, state_dir):
         cluster.close()
 
 
-# -- router: writer churn + build failures + cached readers ---------------
+# -- router: writer churn + backend read faults + cached readers ---------
 
-#: reader pages stay at or below this many boxes; a rollup build at
-#: granularity 2 queries every block of the cube in one batch, which is
-#: always larger — so the build-failure fault below can target builds
-#: without ever touching reader traffic
 ROUTER_PAGE_BOXES = 4
 
 
-class _BuildFaultBackend:
-    """Backend wrapper whose *armed* state fails any batch bigger than a
-    reader page. Rollup builds fetch all block totals in one oversized
-    batch, so arming this injects a build failure while routed reads
-    (small pages, or cache hits that never reach the backend) flow on.
-    """
+class _ReadFaultBackend:
+    """Backend wrapper whose *armed* state fails every read that reaches
+    it. Cache hits never get here, so arming it fails exactly the routed
+    reads that miss the cache; ``injected`` counts each one raised."""
 
     def __init__(self, backend):
         self._backend = backend
+        self._lock = threading.Lock()
         self.armed = False
         self.injected = 0
 
     def query_many(self, lows, highs, deadline=None):
-        if self.armed and len(lows) > ROUTER_PAGE_BOXES:
-            self.injected += 1
-            raise InjectedFault("injected rollup-build failure")
+        if self.armed:
+            with self._lock:
+                self.injected += 1
+            raise InjectedFault("injected backend read failure")
         return self._backend.query_many(lows, highs, deadline=deadline)
 
     def __getattr__(self, name):
@@ -336,8 +334,9 @@ class _BuildFaultBackend:
 
 
 def _run_router(rng, params, state_dir):
-    """Writer churn + injected build failures + concurrent cached
-    readers; every routed answer must match the oracle at its stamp."""
+    """Writer churn + injected backend read faults + concurrent cached
+    readers; every routed answer must match the oracle at its stamp,
+    and every injected fault must reach exactly one reader."""
     shape = params["shape"]
     cube = rng.integers(0, 50, shape).astype(np.float64)
     oracle = VersionOracle(cube)
@@ -351,28 +350,31 @@ def _run_router(rng, params, state_dir):
     ]
 
     errors = []
+    faults_seen = []
     stop = threading.Event()
     service = _service(params, cube, state_dir)
-    backend = _BuildFaultBackend(ServiceBackend(service))
+    backend = _ReadFaultBackend(ServiceBackend(service))
     try:
-        with QueryRouter(
-            backend, auto_build=False, observe_every=1
-        ) as router:
+        with QueryRouter(backend) as router:
+
+            def read_page(page_lows, page_highs):
+                batch = router.route_many(page_lows, page_highs)
+                mismatches = oracle.check(
+                    page_lows, page_highs, batch.values, batch.stamps
+                )
+                errors.extend(
+                    dict(m, tier=batch.tiers[m["index"]]) for m in mismatches
+                )
 
             def reader(page_index):
-                page_lows, page_highs = pages[page_index % len(pages)]
-                while not stop.is_set():
-                    batch = router.route_many(page_lows, page_highs)
-                    mismatches = oracle.check(
-                        page_lows, page_highs, batch.values, batch.stamps
-                    )
-                    if mismatches:
-                        errors.extend(
-                            dict(m, tier=batch.tiers[m["index"]])
-                            for m in mismatches
-                        )
-                        stop.set()
-                        return
+                page = pages[page_index % len(pages)]
+                seen = 0
+                while not stop.is_set() and not errors:
+                    try:
+                        read_page(*page)
+                    except InjectedFault:
+                        seen += 1
+                faults_seen.append(seen)
 
             threads = [
                 threading.Thread(target=reader, args=(i,))
@@ -383,23 +385,27 @@ def _run_router(rng, params, state_dir):
             fault_from, fault_until = (
                 params["groups"] // 3, 2 * params["groups"] // 3
             )
-            degraded_builds = 0
             for i, group in enumerate(groups):
-                if stop.is_set():
+                if errors:
                     break
+                backend.armed = fault_from <= i < fault_until
                 # recorded before the submit: no reader can observe a
                 # version the oracle does not know yet
                 oracle.record(group)
                 router.submit_batch(group)
                 if i % params["flush_every"] == 0:
                     router.flush()
-                backend.armed = fault_from <= i < fault_until
-                if i % params["build_every"] == 0:
-                    built = router.build_rollup(2)
-                    if built is None:
-                        # degraded: the failed build must be counted and
-                        # must not have broken the serving path
-                        degraded_builds += 1
+                if i == fault_until - 1:
+                    # the flushed version postdates every cached entry
+                    # and no backend read can succeed while armed, so
+                    # the readers' next cache miss must hit the fault
+                    router.flush()
+                    deadline = time.monotonic() + 10.0
+                    while not backend.injected and not errors:
+                        assert time.monotonic() < deadline, (
+                            "armed round never injected a read fault"
+                        )
+                        time.sleep(0.001)
             backend.armed = False
             router.flush()
             stop.set()
@@ -408,25 +414,21 @@ def _run_router(rng, params, state_dir):
                 assert not t.is_alive(), "reader thread hung"
 
             assert not errors, f"stale routed reads: {errors[:3]}"
-            # the fault healed: a final build must succeed again
-            assert router.build_rollup(2) is not None, (
-                "rollup build still failing after the fault healed"
-            )
             stats = router.stats()["router"]
             params["router_stats"] = stats
-            params["degraded_builds"] = degraded_builds
-            assert backend.injected >= 1, (
-                "round never armed a build failure"
+            params["faults"] = {
+                "injected": backend.injected, "seen": sum(faults_seen),
+            }
+            assert backend.injected >= 1, "round never injected a read fault"
+            assert sum(faults_seen) == backend.injected, (
+                f"{backend.injected} injected read faults but readers "
+                f"saw {sum(faults_seen)}"
             )
-            assert degraded_builds == backend.injected, (
-                f"{backend.injected} injected build faults but "
-                f"{degraded_builds} degraded builds observed"
-            )
-            assert stats["rollup_build_failures"] >= degraded_builds
-            assert stats["rollup_builds"] >= 1, "no rollup ever published"
 
-            # quiesced differential: a fresh full-cube read through the
-            # router equals the final oracle exactly
+            # healed: every page and a fresh full-cube read are exact
+            for page in pages:
+                read_page(*page)
+            assert not errors, f"routed reads after the fault: {errors[:3]}"
             full_lo, full_hi = [(0,) * len(shape)], [tuple(n - 1 for n in shape)]
             final = router.route_many(full_lo, full_hi)
             mismatches = oracle.check(
@@ -1106,7 +1108,6 @@ MODES = {
         (2000,), SMALL_SHAPES,
         lambda rng, p: _ints(
             rng, groups=(30, 60), readers=(2, 4), flush_every=(3, 8),
-            build_every=(5, 12),
         ),
         _run_router,
     ),
