@@ -109,6 +109,8 @@ class DeadLetterFile:
         # the append handle opens lazily on first append: a clean
         # stream never creates an empty quarantine file
         self._handle = None
+        # appends not yet fsynced: a sync with none is a no-op
+        self._unsynced = 0
 
     def _rewrite(self, entries: List[Dict], preserve_missing=False) -> None:
         """Atomically replace the file with exactly ``entries``."""
@@ -143,14 +145,16 @@ class DeadLetterFile:
             self._handle = open(self.path, "ab")
         self._handle.write(_encode_entry(entry))
         self._reasons[str(reason)] += 1
+        self._unsynced += 1
 
     def sync(self) -> None:
-        """Make every appended entry durable (no-op before the first
-        append — rewrites fsync themselves)."""
-        if self._handle is None:
+        """Make every appended entry durable (no-op when nothing was
+        appended since the last sync — rewrites fsync themselves)."""
+        if self._handle is None or not self._unsynced:
             return
         self._handle.flush()
         os.fsync(self._handle.fileno())
+        self._unsynced = 0
 
     def truncate_from(self, offset: int) -> int:
         """Drop entries with ``entry.offset >= offset``; returns count.

@@ -21,6 +21,18 @@ dead-letter file back to the offset it will re-read from, and streams
 on. Re-encoding is deterministic, so a replayed group is bit-for-bit
 the group that would have committed.
 
+**Columnar.** A group travels as one array pair — ``(n, d)`` cells and
+``n`` float64 deltas — from the encoded chunk to the target's WAL
+append. Each chunk is encoded column by column: a dimension, time or
+measure column is checked and converted with a handful of array
+operations, and only the rows those checks reject (a string, a bool, a
+NaN, a missing key, a value out of the encoder's domain, an encoder
+with no integer domain) go through the per-record
+:meth:`~repro.cube.schema.CubeSchema.encode_record` path, which names
+their quarantine reason. Admission is one mask per chunk and one per
+group after its roll, and the coalesce is one 1-D sort
+(:func:`~repro.serve.group.coalesce`).
+
 **Quarantine.** A row failing schema validation, index encoding, the
 measure-dtype check, or window admission is dead-lettered with a
 stable reason and counted — the stream never stops for one bad row,
@@ -41,11 +53,14 @@ of OOMing its buffer or hot-spinning on rejections.
 
 from __future__ import annotations
 
+import operator
 import time
-from typing import Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro.cube.encoders import IdentityEncoder, IntegerEncoder
 from repro.cube.fact_table import validate_measure
 from repro.errors import (
     EncodingError,
@@ -56,11 +71,19 @@ from repro.errors import (
 from repro.ingest.checkpoint import CheckpointStore
 from repro.ingest.deadletter import DeadLetterFile
 from repro.metrics.registry import MetricsRegistry
+from repro.serve.group import UpdateGroup, coalesce
 
-#: one buffered encoded row: (source offset, cell coords, delta,
-#: original record — kept so a row expired by its own group's roll can
-#: dead-letter with its source contents, not just the encoded cell)
-Row = Tuple[int, Tuple[int, ...], float, object]
+
+class _Encoded(NamedTuple):
+    """One chunk's admitted rows as arrays, plus the chunk's records —
+    kept so a row expired by its own group's roll can dead-letter with
+    its source contents, not just the encoded cell."""
+
+    chunk_offset: int
+    records: list
+    offsets: np.ndarray
+    cells: np.ndarray
+    deltas: np.ndarray
 
 
 class IngestReport(dict):
@@ -136,6 +159,7 @@ class IngestPipeline:
         self.checkpoint = CheckpointStore(checkpoint_path)
         self.deadletter = DeadLetterFile(deadletter_path)
         self.time_column = time_column
+        self._ndim = len(schema.dimensions) + (time_column is not None)
         self.measure_dtype = (
             None if measure_dtype is None else np.dtype(measure_dtype)
         )
@@ -183,12 +207,12 @@ class IngestPipeline:
         target's terminal errors after retries are exhausted.
         """
         offset = self._resume()
-        buffer: List[Row] = []
+        buffer: List[_Encoded] = []
         buf_start = buf_end = offset
         for chunk_offset, records in self.source.chunks(offset):
             self._boundary("chunk")
             self.metrics.inc(chunks_read=1, rows_read=len(records))
-            buffer.extend(self._encode_chunk(chunk_offset, records))
+            buffer.append(self._encode_chunk(chunk_offset, records))
             self._boundary("encode")
             buf_end = chunk_offset + len(records)
             if buf_end - buf_start >= self.group_rows:
@@ -242,27 +266,29 @@ class IngestPipeline:
         # and resubmit only the missing shards' sub-updates.
         self.metrics.inc(partial_resubmits=1)
         self.deadletter.truncate_from(start)
-        rows = self._reencode_range(start, end, pending)
-        pairs = _coalesce(rows)
+        _, cells, deltas = self._concat(
+            self._reencode_range(start, end, pending)
+        )
+        group = _coalesce(cells, deltas)
         self.deadletter.sync()
-        if pairs:
+        if group:
             self.target.resubmit_missing(
-                pairs, pending["expect"], timeout=self.submit_timeout
+                group, pending["expect"], timeout=self.submit_timeout
             )
         self.checkpoint.save(self._committed_state(end))
         self.deadletter.truncate_from(end)
         return end
 
     def _reencode_range(self, start: int, end: int, pending: Dict
-                        ) -> List[Row]:
+                        ) -> List[_Encoded]:
         self.target.restore(pending.get("target_state", {}))
-        rows: List[Row] = []
+        parts: List[_Encoded] = []
         for chunk_offset, records in self.source.chunks(start):
             if chunk_offset >= end:
                 break
             take = records[: max(0, end - chunk_offset)]
-            rows.extend(self._encode_chunk(chunk_offset, take))
-        return rows
+            parts.append(self._encode_chunk(chunk_offset, take))
+        return parts
 
     # -- encode --------------------------------------------------------------
 
@@ -271,33 +297,82 @@ class IngestPipeline:
         self.metrics.inc(rows_quarantined=1)
         self.metrics.inc_key("quarantine_reasons", reason)
 
-    def _encode_chunk(self, chunk_offset: int, records) -> List[Row]:
-        rows: List[Row] = []
-        for i, record in enumerate(records):
-            offset = chunk_offset + i
+    def _encode_chunk(self, chunk_offset: int, records) -> _Encoded:
+        """Encode and admit one chunk; quarantine the rest in row order.
+
+        The columnar encode takes every row its checks accept; each
+        row they reject goes through :meth:`_encode_coords`, which
+        either encodes it after all (a ``"3"`` the encoder parses, a
+        date, a category) or names its quarantine reason.
+        """
+        cells, deltas, encoded = self._encode_columns(records)
+        failures = []
+        for row in np.flatnonzero(~encoded).tolist():
             try:
-                coords = self._encode_coords(record)
+                coords, delta = self._encode_coords(records[row])
             except SchemaError as error:
-                self._quarantine(offset, "schema", error, record)
+                failures.append((row, "schema", error))
                 continue
             except EncodingError as error:
-                self._quarantine(offset, "encoding", error, record)
+                failures.append((row, "encoding", error))
                 continue
             except _BadTime as error:
-                self._quarantine(offset, "bad_time", error, record)
+                failures.append((row, "bad_time", error))
                 continue
             except _BadMeasure as error:
-                self._quarantine(offset, "measure_dtype", error, record)
+                failures.append((row, "measure_dtype", error))
                 continue
-            ok, reason = self.target.admit(coords[0])
-            if not ok:
-                self._quarantine(
-                    offset, reason,
-                    f"cell {coords[0]} not admissible", record,
-                )
-                continue
-            rows.append((offset, coords[0], coords[1], record))
-        return rows
+            cells[row] = coords
+            deltas[row] = delta
+            encoded[row] = True
+        admitted, reason = self.target.admit(cells)
+        admitted &= encoded
+        for row in np.flatnonzero(encoded & ~admitted).tolist():
+            failures.append((
+                row, reason,
+                f"cell {tuple(cells[row].tolist())} not admissible",
+            ))
+        failures.sort(key=lambda failure: failure[0])
+        for row, why, error in failures:
+            self._quarantine(chunk_offset + row, why, error, records[row])
+        keep = np.flatnonzero(admitted)
+        return _Encoded(
+            chunk_offset, records, chunk_offset + keep,
+            cells[keep], deltas[keep],
+        )
+
+    def _encode_columns(
+        self, records
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(cells, deltas, encoded)`` for a chunk, column by column.
+
+        A row is marked encoded only where the per-record path would
+        encode it to the same cell and delta: exact-``int`` time and
+        dimension values inside the integer domain, and a finite
+        ``int`` or ``float`` measure the ``measure_dtype`` check passes.
+        Every other row is left to :meth:`_encode_coords`.
+        """
+        n = len(records)
+        cells = np.zeros((n, self._ndim), dtype=np.intp)
+        domains = []
+        if self.time_column is not None:
+            domains.append((self.time_column, 0, None))
+        for dim in self.schema.dimensions:
+            domain = _int_domain(dim.encoder)
+            if domain is None:
+                return cells, np.zeros(n), np.zeros(n, dtype=bool)
+            domains.append((dim.name,) + domain)
+        deltas, encoded = _measure_column(
+            _column(records, self.schema.measure), self.measure_dtype
+        )
+        for axis, (name, low, high) in enumerate(domains):
+            values, ok = _int_column(_column(records, name))
+            ok &= values >= low
+            if high is not None:
+                ok &= values <= high
+            cells[:, axis] = values - low
+            encoded &= ok
+        return cells, deltas, encoded
 
     def _encode_coords(self, record) -> Tuple[Tuple[int, ...], float]:
         slot = None
@@ -330,40 +405,57 @@ class IngestPipeline:
 
     # -- submit --------------------------------------------------------------
 
-    def _commit_group(self, rows: List[Row], start: int, end: int) -> None:
-        if rows:
+    def _concat(
+        self, parts: List[_Encoded]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The buffered chunks' offsets, cells and deltas, joined."""
+        if not parts:
+            return (
+                np.empty(0, dtype=np.intp),
+                np.empty((0, self._ndim), dtype=np.intp),
+                np.empty(0),
+            )
+        return tuple(
+            np.concatenate([getattr(part, name) for part in parts])
+            for name in ("offsets", "cells", "deltas")
+        )
+
+    def _commit_group(self, parts: List[_Encoded], start: int, end: int
+                      ) -> None:
+        offsets, cells, deltas = self._concat(parts)
+        if len(offsets):
             # the roll comes first: opening the group's top slot may
             # expire slots earlier rows were admitted under, and the
             # intent's expected sequence must account for any slab-
             # zeroing groups the advance submits
             before = getattr(self.target, "roller", None)
             newest_before = before.newest_slot if before else None
-            pairs_to_roll = [(c, d) for _, c, d, _ in rows]
+            rows = UpdateGroup(cells, deltas)
             self._retry_on_overload(
                 lambda: self.target.prepare(
-                    pairs_to_roll, timeout=self.submit_timeout
+                    rows, timeout=self.submit_timeout
                 )
             )
             if before is not None and before.newest_slot != newest_before:
                 self.metrics.inc(rolls=before.newest_slot - newest_before)
             self._boundary("roll")
-            admitted: List[Row] = []
-            for offset, coords, delta, record in rows:
-                ok, reason = self.target.admit(coords)
-                if ok:
-                    admitted.append((offset, coords, delta, record))
-                else:
+            admitted, reason = self.target.admit(cells)
+            if not admitted.all():
+                for row in np.flatnonzero(~admitted).tolist():
+                    offset = int(offsets[row])
                     self._quarantine(
                         offset, reason,
-                        f"cell {coords} expired during the group's roll",
-                        record,
+                        f"cell {tuple(cells[row].tolist())} expired "
+                        f"during the group's roll",
+                        _record_at(parts, offset),
                     )
-            rows = admitted
+                offsets = offsets[admitted]
+                cells, deltas = cells[admitted], deltas[admitted]
         self.deadletter.sync()
         self._boundary("deadletter")
-        pairs = _coalesce(rows)
-        if pairs:
-            expect = self.target.expect(pairs)
+        group = _coalesce(cells, deltas)
+        if group:
+            expect = self.target.expect(group)
             self.checkpoint.save({
                 "offset": int(start),
                 "target_state": self.target.state(),
@@ -375,20 +467,20 @@ class IngestPipeline:
                 },
             })
             self._boundary("intent")
-            self._submit_with_backpressure(pairs, expect)
-            self.metrics.inc(rows_applied=len(rows))
+            self._submit_with_backpressure(group, expect)
+            self.metrics.inc(rows_applied=len(offsets))
             self._boundary("submit")
         self.checkpoint.save(self._committed_state(end))
         self._boundary("checkpoint")
         self._adapt_group_size()
 
-    def _submit_with_backpressure(self, pairs, expect) -> None:
+    def _submit_with_backpressure(self, group, expect) -> None:
         self._retry_on_overload(
             lambda: self.target.submit_fenced(
-                pairs, expect, timeout=self.submit_timeout
+                group, expect, timeout=self.submit_timeout
             )
         )
-        self.metrics.inc(groups_submitted=1, cells_submitted=len(pairs))
+        self.metrics.inc(groups_submitted=1, cells_submitted=len(group))
 
     def _retry_on_overload(self, operation) -> None:
         """Run ``operation`` under the overload backoff: each rejection
@@ -455,22 +547,114 @@ class _BadMeasure(IngestError):
     """Internal: a measure the configured cube dtype cannot hold."""
 
 
-def _coalesce(rows: List[Row]) -> List[Tuple[Tuple[int, ...], float]]:
+def _coalesce(cells: np.ndarray, deltas: np.ndarray) -> UpdateGroup:
     """Merge per-row deltas into one delta per touched cell.
 
-    Columnar: one ``np.unique`` over the coordinate matrix plus one
-    scatter-add — no Python dict of tuples. Output order is the sorted
-    cell order ``np.unique`` defines, which makes replayed groups
-    byte-identical to the originals.
+    One :func:`~repro.serve.group.coalesce`: a 1-D ``np.unique`` over
+    packed cell keys plus one ``np.bincount`` — no tuple per row or per
+    cell. Output order is the lexicographic cell order a row-wise
+    ``np.unique`` defines, and cells whose deltas cancel stay,
+    which makes replayed groups byte-identical to the originals.
     """
-    if not rows:
-        return []
-    coords = np.asarray([row[1] for row in rows], dtype=np.intp)
-    deltas = np.asarray([row[2] for row in rows], dtype=np.float64)
-    cells, inverse = np.unique(coords, axis=0, return_inverse=True)
-    sums = np.zeros(len(cells), dtype=np.float64)
-    np.add.at(sums, inverse.reshape(-1), deltas)
-    return [
-        (tuple(int(c) for c in cell), float(total))
-        for cell, total in zip(cells, sums)
-    ]
+    return UpdateGroup(*coalesce(cells, deltas))
+
+
+def _record_at(parts: List[_Encoded], offset: int):
+    """The source record at ``offset`` among the buffered chunks."""
+    for part in parts:
+        if 0 <= offset - part.chunk_offset < len(part.records):
+            return part.records[offset - part.chunk_offset]
+    raise IngestError(f"offset {offset} is not buffered")
+
+
+# -- the columnar encode ----------------------------------------------------
+
+#: int column values at or beyond this magnitude go the per-record way
+_INT_LIMIT = 1 << 62
+
+
+def _int_domain(encoder) -> Optional[Tuple[int, int]]:
+    """``(low, high)`` of an encoder that maps an int ``v`` to
+    ``v - low`` inside ``[low, high]``; ``None`` for any other."""
+    if type(encoder) is IntegerEncoder:
+        return encoder.minimum, encoder.maximum
+    if type(encoder) is IdentityEncoder:
+        return 0, encoder.size - 1
+    return None
+
+
+def _column(records, name) -> list:
+    """``record.get(name)`` of every record (``None`` for a record
+    that is not a dict: the per-record path judges it)."""
+    try:
+        return list(map(dict.get, records, repeat(name)))
+    except TypeError:
+        return [
+            record.get(name) if isinstance(record, dict) else None
+            for record in records
+        ]
+
+
+def _exactly(values: list, kind: type) -> np.ndarray:
+    """Mask of the values whose type is ``kind`` itself (a ``bool`` is
+    not an ``int`` here)."""
+    return np.fromiter(
+        map(operator.is_, map(type, values), repeat(kind)),
+        dtype=bool, count=len(values),
+    )
+
+
+def _int_column(values: list) -> Tuple[np.ndarray, np.ndarray]:
+    """``(int64 values, ok)``: ``ok`` marks exact ``int`` values that
+    fit comfortably in int64; the rest read 0."""
+    ok = _exactly(values, int)
+    if not ok.all():
+        values = [v if good else 0 for v, good in zip(values, ok.tolist())]
+    try:
+        return np.array(values, dtype=np.int64), ok
+    except OverflowError:
+        fits = np.fromiter(
+            (-_INT_LIMIT < v < _INT_LIMIT for v in values),
+            dtype=bool, count=len(values),
+        )
+        values = [v if good else 0 for v, good in zip(values, fits.tolist())]
+        return np.array(values, dtype=np.int64), ok & fits
+
+
+def _measure_column(
+    values: list, dtype: Optional[np.dtype]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(float64 measures, ok)``: ``ok`` marks finite ``int`` and
+    ``float`` measures that :func:`validate_measure` accepts, with
+    ``dtype`` and promotion disallowed, as the per-record path calls it.
+    """
+    is_float = _exactly(values, float)
+    is_int = _exactly(values, int)
+    ok = is_float | is_int
+    if not ok.all():
+        values = [v if good else 0.0 for v, good in zip(values, ok.tolist())]
+    try:
+        measures = np.array(values, dtype=np.float64)
+    except OverflowError:  # an int no float can hold
+        fits = np.fromiter(
+            (type(v) is not int or -_INT_LIMIT < v < _INT_LIMIT
+             for v in values),
+            dtype=bool, count=len(values),
+        )
+        values = [v if good else 0.0 for v, good in zip(values, fits.tolist())]
+        measures = np.array(values, dtype=np.float64)
+        ok &= fits
+    ok &= np.isfinite(measures)
+    if dtype is None:
+        return measures, ok
+    if not np.can_cast(np.float64, dtype, "same_kind"):
+        # the lossless-cast check of validate_measure, per value
+        with np.errstate(invalid="ignore", over="ignore"):
+            exact = measures.astype(dtype) == measures
+        ok &= ~is_float | exact
+    # np.asarray of an int inside int64 is int64, as the check assumes
+    if np.can_cast(np.int64, dtype, "same_kind"):
+        ok &= ~is_int | (np.abs(measures) < 2.0 ** 63)
+    else:
+        ok &= ~is_int
+    return measures, ok

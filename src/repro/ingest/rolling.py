@@ -40,12 +40,13 @@ mass — deterministic bounds the true acked sum cannot escape.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.cluster.degraded import RangeEstimate
 from repro.errors import RangeError
+from repro.serve.group import UpdateGroup
 
 WindowAnswer = Union[float, RangeEstimate]
 
@@ -76,21 +77,21 @@ def physical_ranges(first: int, last: int, window: int):
     return [(p_first, window - 1), (0, p_last)]
 
 
-def zeroing_updates(
-    slab: np.ndarray, physical: int
-) -> List[Tuple[Tuple[int, ...], float]]:
-    """The updates that expire physical slice ``physical``: one negating
-    delta per nonzero cell of its ``slab`` (empty when already zero).
+def zeroing_updates(slab: np.ndarray, physical: int) -> UpdateGroup:
+    """The group that expires physical slice ``physical``: one negating
+    delta per nonzero cell of its ``slab``, in ``np.nonzero`` order and
+    with the slab's dtype (empty when already zero).
 
     The slab comes from one snapshot reconstruction, not a
-    ``cell_value`` per cell, so only nonzero cells cost an update.
+    ``cell_value`` per cell, so only nonzero cells cost an update, and
+    the group is built from ``np.nonzero`` without a tuple per cell.
     """
     slab = np.asarray(slab)
     nonzero = np.nonzero(slab)
-    return [
-        ((physical,) + tuple(int(c) for c in cell), -value)
-        for cell, value in zip(np.column_stack(nonzero), slab[nonzero])
-    ]
+    cells = np.empty((len(nonzero[0]), slab.ndim + 1), dtype=np.intp)
+    cells[:, 0] = physical
+    cells[:, 1:] = np.column_stack(nonzero)
+    return UpdateGroup(cells, -slab[nonzero])
 
 
 class RollingCubeService:
@@ -197,46 +198,63 @@ class RollingCubeService:
 
     def submit_slot_batch(
         self,
-        updates: Sequence[Tuple[Sequence[int], float]],
+        updates: Union[UpdateGroup, Sequence[Tuple[Sequence[int], float]]],
         *,
         timeout: Optional[float] = None,
     ) -> int:
         """Submit one atomic group of logical ``((slot, *cell), delta)``.
 
-        Slots above :attr:`newest_slot` advance the window first (the
-        mid-stream roll); slots below :attr:`oldest_slot` raise
+        ``updates`` is an :class:`~repro.serve.group.UpdateGroup` whose
+        first column holds logical slots, or pairs, converted to one
+        once. Slots above :attr:`newest_slot` advance the window first
+        (the mid-stream roll); slots below :attr:`oldest_slot` raise
         :class:`~repro.errors.RangeError` — the ingest pipeline
-        quarantines such rows instead of calling this.
+        quarantines such rows instead of calling this. The slots map to
+        physical slices with one array operation, and each slot's
+        positive and negative mass is summed with ``np.bincount``.
         """
-        top = max(
-            (int(u[0][0]) for u in updates), default=self.newest_slot
-        )
+        group = UpdateGroup.of(updates, len(self.service.shape))
+        slots = group.cells[:, 0]
+        top = int(slots.max()) if len(group) else self.newest_slot
         if top > self.newest_slot:
             self.advance(top - self.newest_slot, timeout=timeout)
         with self._lock:
-            physical_updates = []
-            masses: Dict[int, List[float]] = {}
-            for coords, delta in updates:
-                slot = int(coords[0])
-                check_slot(slot, self.newest_slot, self.window)
-                physical_updates.append(
-                    ((slot % self.window,) + tuple(
-                        int(c) for c in coords[1:]
-                    ), delta)
+            masses: Dict[int, Tuple[float, float]] = {}
+            if len(group):
+                outside = (slots < self.oldest_slot) | (
+                    slots > self.newest_slot
                 )
-                pos_neg = masses.setdefault(slot, [0.0, 0.0])
-                if delta >= 0:
-                    pos_neg[0] += float(delta)
-                else:
-                    pos_neg[1] += -float(delta)
-            seq = self.service.submit_batch(
-                physical_updates, timeout=timeout
-            )
-            self._pending[seq] = {
-                slot: (pos, neg) for slot, (pos, neg) in masses.items()
-            }
+                if outside.any():
+                    check_slot(
+                        int(slots[outside.argmax()]),
+                        self.newest_slot, self.window,
+                    )
+                physical = group.cells.copy()
+                physical[:, 0] = slots % self.window
+                group = UpdateGroup(physical, group.deltas)
+                masses = self._slot_masses(slots, group.deltas)
+            seq = self.service.submit_batch(group, timeout=timeout)
+            self._pending[seq] = masses
             self._prune(self.service.version)
             return seq
+
+    @staticmethod
+    def _slot_masses(
+        slots: np.ndarray, deltas: np.ndarray
+    ) -> Dict[int, Tuple[float, float]]:
+        """Per-slot (positive, negative) delta mass, summed in input
+        order; a NaN delta counts as negative mass."""
+        deltas = deltas.astype(np.float64, copy=False)
+        first = int(slots.min())
+        offsets = slots - first
+        positive = deltas >= 0
+        pos = np.bincount(offsets, weights=np.where(positive, deltas, 0.0))
+        neg = np.bincount(offsets, weights=np.where(positive, 0.0, -deltas))
+        present = np.flatnonzero(np.bincount(offsets))
+        return {
+            first + int(offset): (float(pos[offset]), float(neg[offset]))
+            for offset in present.tolist()
+        }
 
     def record(self, slot: int, cell: Sequence[int], amount: float) -> int:
         """Add ``amount`` at one logical cell (its own atomic group)."""

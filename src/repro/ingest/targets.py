@@ -1,19 +1,24 @@
 """Target adapters: one submit/fence contract over service and cluster.
 
 The pipeline speaks one small protocol and these adapters implement it
-for each backend:
+for each backend. A *group* is an
+:class:`~repro.serve.group.UpdateGroup` — ``(n, d)`` cells plus ``n``
+deltas — which also iterates as ``(cell, delta)`` pairs:
 
-``admit(coords)``
-    Whether a cell is currently writable (the rolling target rejects
+``admit(cells)``
+    A boolean mask over an ``(n, d)`` cell array (or a scalar for one
+    cell): which cells are currently writable, plus the reason the rest
+    are not (``""`` when every cell is). The rolling target rejects
     expired time slots — those rows quarantine instead of poisoning a
-    group).
-``prepare(pairs)``
+    group. One call covers a whole chunk, or a whole group after its
+    roll.
+``prepare(group)``
     Pre-submit work that must precede the durable intent (the rolling
     target advances the window here; idempotent on replay).
-``expect(pairs)``
+``expect(group)``
     The commit marker the next submitted group will reach, captured
     into the intent *before* the submit.
-``submit(pairs)``
+``submit(group)`` / ``submit_fenced(group, expect)``
     One atomic group (per shard, for the cluster), durably acked when
     it returns. :class:`~repro.errors.ServiceOverloadedError` escapes
     to the pipeline's backpressure loop; node failures are absorbed by
@@ -39,6 +44,8 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import (
     ClusterUnavailableError,
     FenceError,
@@ -46,6 +53,11 @@ from repro.errors import (
 )
 
 Pair = Tuple[Tuple[int, ...], float]
+
+
+def _admit_all(cells) -> Tuple[np.ndarray, str]:
+    """Every cell admitted: the mask for targets without a window."""
+    return np.ones(np.shape(cells)[:-1], dtype=bool), ""
 
 
 class ServiceTarget:
@@ -58,8 +70,8 @@ class ServiceTarget:
 
     # -- protocol ------------------------------------------------------------
 
-    def admit(self, coords) -> Tuple[bool, str]:
-        return True, ""
+    def admit(self, cells) -> Tuple[np.ndarray, str]:
+        return _admit_all(cells)
 
     def prepare(
         self, pairs: Sequence[Pair], *, timeout: Optional[float] = None
@@ -132,13 +144,14 @@ class ServiceTarget:
 class RollingServiceTarget(ServiceTarget):
     """Adapter over a :class:`~repro.ingest.rolling.RollingCubeService`.
 
-    Pairs carry *logical* leading time slots. ``prepare`` advances the
+    Cells carry *logical* leading time slots. ``prepare`` advances the
     window to the group's top slot before the intent is written, so the
     expected sequence number captured after it accounts for any slab
-    zeroing groups; ``admit`` rejects slots the advance just expired
-    (late arrivals quarantine as ``expired_slot``); ``state`` persists
-    ``newest_slot`` so a resumed coordinator reopens the window where
-    the checkpoint left it.
+    zeroing groups; ``admit`` masks out slots below the window — one
+    comparison over the cells' first column — so late arrivals, and
+    rows the advance just expired, quarantine as ``expired_slot``;
+    ``state`` persists ``newest_slot`` so a resumed coordinator reopens
+    the window where the checkpoint left it.
     """
 
     kind = "rolling"
@@ -147,16 +160,12 @@ class RollingServiceTarget(ServiceTarget):
         super().__init__(roller.service)
         self.roller = roller
 
-    def admit(self, coords) -> Tuple[bool, str]:
-        slot = int(coords[0])
-        if slot < self.roller.oldest_slot:
-            return False, "expired_slot"
-        return True, ""
+    def admit(self, cells) -> Tuple[np.ndarray, str]:
+        admitted = np.asarray(cells)[..., 0] >= self.roller.oldest_slot
+        return admitted, "" if admitted.all() else "expired_slot"
 
-    def prepare(
-        self, pairs: Sequence[Pair], *, timeout: Optional[float] = None
-    ) -> None:
-        top = max(int(coords[0]) for coords, _ in pairs)
+    def prepare(self, group, *, timeout: Optional[float] = None) -> None:
+        top = int(group.cells[:, 0].max())
         if top > self.roller.newest_slot:
             self.roller.advance(
                 top - self.roller.newest_slot, timeout=timeout
@@ -208,8 +217,8 @@ class ClusterTarget:
 
     # -- protocol ------------------------------------------------------------
 
-    def admit(self, coords) -> Tuple[bool, str]:
-        return True, ""
+    def admit(self, cells) -> Tuple[np.ndarray, str]:
+        return _admit_all(cells)
 
     def prepare(
         self, pairs: Sequence[Pair], *, timeout: Optional[float] = None

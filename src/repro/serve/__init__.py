@@ -6,10 +6,12 @@ thread coalesces queued deltas into ``apply_batch`` on the back buffer
 and atomically swaps it in. :mod:`repro.serve.wal` adds the durability
 layer (write-ahead log + checkpoints + crash recovery) and
 :mod:`repro.serve.retry` the client-side backoff for overloaded
-services.
+services. :mod:`repro.serve.group` is the array-pair form every group
+travels in, from where it is built to the WAL.
 """
 
 from repro.errors import ServiceOverloadedError
+from repro.serve.group import UpdateGroup
 from repro.serve.retry import ExponentialBackoff, call_with_retries
 from repro.serve.service import CubeService, ServiceClosedError
 from repro.serve.wal import (
@@ -27,6 +29,7 @@ __all__ = [
     "RecoveredState",
     "ServiceClosedError",
     "ServiceOverloadedError",
+    "UpdateGroup",
     "WriteAheadLog",
     "call_with_retries",
     "recover_state",

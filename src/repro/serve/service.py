@@ -10,11 +10,12 @@ periodic batched writes — safe:
   instance that is never mutated while published. Any number of threads
   may query it concurrently (queries only read).
 * **A single writer thread** drains queued deltas, coalesces them per
-  cell with one array pass (``np.unique`` over the index rows plus a
-  segment-summing scatter), applies them to the *back buffer* via the
-  method's own ``apply_batch_array`` (so the RPS strategy planner —
-  incremental, vectorized, or rebuild — still applies), and atomically
-  swaps the back buffer in as the new snapshot.
+  cell with one array pass (:func:`~repro.serve.group.coalesce`: one
+  1-D sort of packed cell keys plus a segment sum), applies them to
+  the *back buffer* via the method's own ``apply_batch_array`` (so the
+  RPS strategy planner — incremental, vectorized, or rebuild — still
+  applies), and atomically swaps the back buffer in as the new
+  snapshot.
 * After the swap the writer waits for in-flight readers to drain off the
   retired snapshot, then replays the same batch onto it — classic
   double buffering: each batch is applied twice, but no reader ever
@@ -67,6 +68,7 @@ from repro.errors import (
 )
 from repro.metrics.registry import MetricsRegistry
 from repro.serve import wal as wal_mod
+from repro.serve.group import UpdateGroup, coalesce
 from repro.serve.wal import DurabilityPolicy, WriteAheadLog
 
 
@@ -375,23 +377,17 @@ class CubeService:
         sequence number in hand means the group survives a crash.
 
         Args:
-            updates: the ``(index, delta)`` pairs of the group.
+            updates: the ``(index, delta)`` pairs of the group, or an
+                :class:`~repro.serve.group.UpdateGroup` — pairs are
+                converted to one once, here, and the same arrays serve
+                the WAL append and the writer's apply.
             timeout: with a bounded queue (``max_pending_groups``), how
                 long to wait for backlog space before raising
                 :class:`~repro.errors.ServiceOverloadedError`; ``None``
                 waits indefinitely.
         """
-        pairs = [
-            (tuple(int(c) for c in index), delta) for index, delta in updates
-        ]
-        # one conversion serves the WAL append AND the writer's apply —
-        # the durability path must not re-pay the per-update Python loop
-        if pairs:
-            indices = np.asarray([cell for cell, _ in pairs], dtype=np.intp)
-            deltas = np.asarray([delta for _, delta in pairs])
-        else:
-            indices = np.empty((0, len(self.shape)), dtype=np.intp)
-            deltas = np.empty(0, dtype=np.int64)
+        group = UpdateGroup.of(updates, len(self.shape))
+        indices, deltas = group.cells, group.deltas
         deadline = (
             None if timeout is None else time.monotonic() + timeout
         )
@@ -439,7 +435,7 @@ class CubeService:
             # be applied in memory; either surviving or vanishing at
             # recovery respects the acked-prefix contract.
             self._wal.sync_upto(seq)
-        self.metrics.inc(updates_submitted=len(pairs))
+        self.metrics.inc(updates_submitted=len(group))
         return seq
 
     def flush(self, timeout: Optional[float] = None) -> int:
@@ -825,15 +821,11 @@ class CubeService:
     def _coalesce(
         idx: np.ndarray, deltas: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Merge per-cell deltas in one array pass: sort-unique the index
-        rows, segment-sum the deltas onto their unique row, and drop
-        cells whose deltas cancelled."""
-        if not len(idx):
-            return idx, deltas
-        unique, inverse = np.unique(idx, axis=0, return_inverse=True)
-        summed = np.zeros(len(unique), dtype=deltas.dtype)
-        # reshape(-1): inverse is (m, 1) on some numpy versions
-        np.add.at(summed, inverse.reshape(-1), deltas)
+        """Merge per-cell deltas in one array pass (one 1-D sort of
+        packed cell keys, then a segment sum) and drop cells whose
+        deltas cancelled. Out-of-range cells coalesce like any other:
+        the apply, not this, rejects a poisoned group."""
+        unique, summed = coalesce(idx, deltas)
         live = summed != 0
         return unique[live], summed[live]
 

@@ -133,6 +133,35 @@ class TestDeadLetterFile:
         ]
         assert entries[0]["record"] == {"x": 99}
 
+    def test_sync_without_new_entries_does_not_fsync(
+        self, tmp_path, monkeypatch
+    ):
+        """Once the file is open, a stream with one early poison row
+        must not pay an fsync per group for the rest of the run: only a
+        sync with appends since the last one reaches the disk."""
+        import repro.ingest.deadletter as deadletter
+
+        calls = []
+        real_fsync = deadletter.os.fsync
+        monkeypatch.setattr(
+            deadletter.os, "fsync",
+            lambda fd: (calls.append(fd), real_fsync(fd))[1],
+        )
+        with DeadLetterFile(tmp_path / "dead.log") as dlq:
+            dlq.append(3, "schema", "bad x", {"x": 99})
+            dlq.sync()
+            assert len(calls) == 1
+            dlq.sync()
+            dlq.sync()
+            assert len(calls) == 1
+            dlq.append(4, "schema", "bad x", {"x": 98})
+            dlq.sync()
+            assert len(calls) == 2
+        assert len(calls) == 2  # close syncs nothing new either
+        assert [e["offset"] for e in read_dead_letters(
+            tmp_path / "dead.log"
+        )] == [3, 4]
+
     def test_torn_tail_is_tolerated(self, tmp_path):
         path = tmp_path / "dead.log"
         with DeadLetterFile(path) as dlq:

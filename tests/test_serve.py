@@ -14,10 +14,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.prefix import PrefixSumCube
 from repro.core.rps import RelativePrefixSumCube
-from repro.serve import CubeService, ServiceClosedError
+from repro.serve import CubeService, ServiceClosedError, UpdateGroup
 
 SHAPE = (24, 24)
 
@@ -604,3 +606,111 @@ class TestFloatDeltaGroups:
             svc.flush()
             assert svc.quarantined_groups() == ()
             assert float(svc.cell_value((1, 1))) == pytest.approx(0.5)
+
+
+_BIG = [-(2 ** 63), -(2 ** 62), -(2 ** 40), 2 ** 40, 2 ** 62, 2 ** 63 - 1]
+
+
+def _reference_coalesce(idx, deltas):
+    """The row-wise coalesce: ``np.unique(axis=0)`` plus ``np.add.at``."""
+    unique, inverse = np.unique(idx, axis=0, return_inverse=True)
+    summed = np.zeros(len(unique), dtype=deltas.dtype)
+    np.add.at(summed, inverse.reshape(-1), deltas)
+    live = summed != 0
+    return unique[live], summed[live]
+
+
+@st.composite
+def _cell_groups(draw):
+    d = draw(st.integers(1, 4))
+    columns = [
+        draw(st.sampled_from(["small", "small", "negative", "big"]))
+        for _ in range(d)
+    ]
+    n = draw(st.integers(1, 60))
+    values = {
+        "small": st.integers(0, 3),
+        "negative": st.integers(-3, 3),
+        "big": st.one_of(st.integers(-2, 2), st.sampled_from(_BIG)),
+    }
+    cells = [
+        tuple(draw(values[kind]) for kind in columns) for _ in range(n)
+    ]
+    deltas = draw(st.lists(
+        st.sampled_from([0.1, -0.1, 0.25, -0.25, 1e16, -1e16, 1.0, 3.5]),
+        min_size=n, max_size=n,
+    ))
+    return (
+        np.asarray(cells, dtype=np.intp),
+        np.asarray(deltas, dtype=np.float64),
+    )
+
+
+class TestWriterCoalesce:
+    """The writer's coalesce is a 1-D sort of packed cell keys; it must
+    match the row-wise unique bit for bit and never raise on cells the
+    apply is going to reject."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_cell_groups())
+    def test_matches_rowwise_unique_bit_for_bit(self, group):
+        idx, deltas = group
+        cells, sums = CubeService._coalesce(idx, deltas)
+        want_cells, want_sums = _reference_coalesce(idx, deltas)
+        assert cells.dtype == want_cells.dtype
+        assert np.array_equal(cells, want_cells)
+        assert sums.dtype == np.float64
+        assert sums.tobytes() == want_sums.tobytes()
+
+    def test_integer_deltas_keep_their_dtype(self):
+        idx = np.asarray([(1, 2), (0, 3), (1, 2), (0, 3)], dtype=np.intp)
+        deltas = np.asarray([2 ** 60, 5, 1, -5], dtype=np.int64)
+        cells, sums = CubeService._coalesce(idx, deltas)
+        assert cells.tolist() == [[1, 2]]
+        assert sums.dtype == np.int64 and sums.tolist() == [2 ** 60 + 1]
+
+    def test_poisoned_cells_quarantine_and_later_groups_apply(self):
+        shape = (4, 4)
+        oracle = np.zeros(shape)
+        with CubeService(RelativePrefixSumCube, np.zeros(shape)) as svc:
+            svc.submit_batch([((1, 1), 5.0)])
+            svc.submit_batch([((2, 2), 1.0), ((-1, 2), 1.0)])
+            svc.submit_batch([((0, 0), 1.0), ((4, 0), 2.0), ((0, 0), 1.0)])
+            svc.submit_batch([((3, 3), 2.5), ((1, 1), -1.0)])
+            svc.flush()
+            assert [seq for seq, _ in svc.quarantined_groups()] == [2, 3]
+            oracle[1, 1] += 5.0 - 1.0
+            oracle[3, 3] += 2.5
+            array, version = svc.snapshot_array()
+            assert version == 4
+            assert np.array_equal(array, oracle)
+            lows = [(0, 0), (1, 1), (0, 2), (2, 0)]
+            highs = [(3, 3), (3, 3), (1, 3), (3, 1)]
+            values, _ = svc.query_many(lows, highs)
+            want = [
+                oracle[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1].sum()
+                for lo, hi in zip(lows, highs)
+            ]
+            assert np.allclose(values, want, rtol=0, atol=1e-12)
+
+
+def test_update_group_iterates_as_pairs_on_every_pass():
+    """A group stands where a pair list stood: a proxy may submit it
+    and then iterate it (perfbench's recorder does), or list it first."""
+    pairs = [((2, 1), 1.5), ((0, 3), -2.0)]
+    group = UpdateGroup.of(pairs, 2)
+    assert len(group) == 2 and bool(group)
+    assert list(group) == pairs and list(group) == pairs
+    assert all(
+        type(c) is int and type(d) is float for cell, d in group
+        for c in cell
+    )
+    assert UpdateGroup.of(group, 2) is group
+    empty = UpdateGroup.of([], 3)
+    assert not empty and empty.cells.shape == (0, 3)
+    with CubeService(PrefixSumCube, np.zeros((4, 4))) as svc:
+        svc.submit_batch(group)
+        svc.submit_batch(list(group))
+        svc.flush()
+        assert svc.cell_value((2, 1)) == 3.0
+        assert svc.cell_value((0, 3)) == -4.0

@@ -663,6 +663,43 @@ def _ingest_draw(rng, params):
     return drawn
 
 
+#: rows planted once per ingest round beside the out-of-range poison.
+#: The columnar encode takes only exact ints and int/float measures, so
+#: each of these goes through the per-record path: the first is encoded
+#: after all, the rest quarantine under their own reason
+_INGEST_PLANTS = (
+    "string_dim", "bad_string_dim", "bool_measure", "nan_measure",
+    "string_measure", "missing_dim",
+)
+
+
+def _ingest_plant(kind, neighbour, size):
+    """``(record, read_as)`` for one planted row: ``read_as`` is the
+    record the encoder must see (ints), or None for a dead letter."""
+    record = dict(neighbour)
+    if kind == "range":
+        record.pop("day", None)  # a rolling target rejects it for that
+        return {**record, "x": 10 * size, "sales": 1.0}, None
+    if kind == "string_dim":
+        record["x"] = str(record["x"])
+        return record, neighbour
+    if kind == "bad_string_dim":
+        record["x"] = f"{record['x']}?"
+    elif kind == "bool_measure":
+        record["sales"] = True
+    elif kind == "nan_measure":
+        record["sales"] = float("nan")
+    elif kind == "string_measure":
+        record["sales"] = str(record["sales"])
+    elif kind == "missing_dim":
+        del record["x"]
+    elif kind == "negative_day":
+        record["day"] = -1
+    else:
+        raise ValueError(f"unknown planted row {kind!r}")
+    return record, None
+
+
 def _run_ingest(rng, params, state_dir):
     """One crash/resume round of the streaming pipeline: the resumed
     run must land bit-for-bit on the oracle with every poison row
@@ -696,23 +733,35 @@ def _run_ingest(rng, params, state_dir):
             # row-at-a-time oracle below matches group-at-a-time rolls
             record = {"day": i // 32, **record}
         records.append(record)
-    poison_offsets = sorted(
+    # truth[i]: the record as the encoder must read it, or None when it
+    # must quarantine before admission
+    truth = list(records)
+    planted = ["range"] * params["poison"] + list(_INGEST_PLANTS)
+    if rolling:
+        planted.append("negative_day")
+    offsets = sorted(
         int(x) for x in rng.choice(
-            np.arange(1, len(records)), size=params["poison"], replace=False
+            np.arange(1, len(records)), size=len(planted), replace=False
         )
     )
-    for offset in poison_offsets:
-        records.insert(offset, {"x": 10 * size, "y": 0, "sales": 1.0})
+    for offset, kind in zip(offsets, rng.permutation(planted)):
+        # a planted row takes its neighbour's day, so one the encoder
+        # accepts never widens a group's slot span
+        record, read_as = _ingest_plant(str(kind), records[offset], size)
+        records.insert(offset, record)
+        truth.insert(offset, read_as)
     if rolling:
         # plus a hopelessly late arrival after the window moved on
         records.append({"day": 0, "x": 0, "sales": 1.0})
+        truth.append(records[-1])
 
-    # -- oracle: poison rows and rows older than the window when they
-    # arrive are dead letters; of the rest, the ones still inside the
-    # final window land in their slot, as one acked group in row order
+    # -- oracle: rows the encoder rejects and rows older than the window
+    # when they arrive are dead letters; of the rest, the ones still
+    # inside the final window land in their slot, as one acked group in
+    # row order
     expected_dead, kept, newest = [], [], 0
-    for i, r in enumerate(records):
-        if r["x"] >= size or (rolling and "day" not in r):
+    for i, r in enumerate(truth):
+        if r is None:
             expected_dead.append(i)
         elif rolling and r["day"] <= newest - window:
             expected_dead.append(i)
