@@ -409,8 +409,6 @@ class CubeCluster:
         router stamps on cached answers. Ordering:
         ``(values[, estimates][, receipt])``.
         """
-        lows = list(lows)
-        highs = list(highs)
         if len(lows) != len(highs):
             raise ClusterError(
                 f"{len(lows)} lows vs {len(highs)} highs"
@@ -443,8 +441,8 @@ class CubeCluster:
 
     def _range_sum_attempt(
         self,
-        lows: List,
-        highs: List,
+        lows,
+        highs,
         shardmap: ShardMap,
         replica_sets: List[ReplicaSet],
         *,
@@ -452,45 +450,40 @@ class CubeCluster:
         return_shard_versions: bool,
         allow_estimate: bool,
     ):
-        """One read pass against a consistent topology snapshot."""
-        # route: shard -> (query indices, local boxes)
-        per_shard: Dict[int, Tuple[List[int], List, List]] = {}
-        for i, (low, high) in enumerate(zip(lows, highs)):
-            for shard, local_low, local_high in shardmap.split_box(
-                low, high
-            ):
-                idx, slo, shi = per_shard.setdefault(shard, ([], [], []))
-                idx.append(i)
-                slo.append(local_low)
-                shi.append(local_high)
+        """One read pass against a consistent topology snapshot.
+
+        The answers keep the shards' result dtype (an int64 cube sums
+        exactly past 2^53); a batch that contacts no shard is float64.
+        """
+        # route: [(shard, query indices, local lows, local highs)]
+        per_shard = shardmap.split_boxes(lows, highs)
         self.metrics.inc(queries_routed=1, query_shard_reads=len(per_shard))
-        out: Optional[np.ndarray] = None
+        partials: List[Tuple[np.ndarray, np.ndarray]] = []
         shard_versions: Dict[int, int] = {}
-        degraded: Dict[int, Tuple[List[int], List, List]] = {}
-        for shard in sorted(per_shard):
-            idx, slo, shi = per_shard[shard]
+        degraded: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        for shard, idx, local_lows, local_highs in per_shard:
             try:
                 values, version = replica_sets[shard].range_sum_many(
-                    slo, shi, deadline
+                    local_lows, local_highs, deadline
                 )
             except ClusterUnavailableError:
                 if allow_estimate:
-                    degraded[shard] = per_shard[shard]
+                    degraded[shard] = (idx, local_lows, local_highs)
                     continue
                 self.metrics.inc(unavailable_errors=1)
                 raise
             except DeadlineExceededError:
                 raise
             shard_versions[shard] = version
-            values = np.asarray(values)
-            if out is None:
-                out = np.zeros(
-                    len(lows), dtype=np.result_type(values.dtype)
-                )
-            np.add.at(out, np.asarray(idx, dtype=np.intp), values)
-        if out is None:
-            out = np.zeros(len(lows))
-        out = np.asarray(out, dtype=np.float64)
+            partials.append((idx, np.asarray(values)))
+        dtype = (
+            np.result_type(*(values for _, values in partials))
+            if partials else np.float64
+        )
+        out = np.zeros(len(lows), dtype=dtype)
+        for idx, values in partials:
+            # idx has no repeats within one shard: a plain += suffices
+            out[idx] += values
         estimates: Optional[List[Optional[RangeEstimate]]] = None
         if allow_estimate:
             estimates = [None] * len(lows)
@@ -513,7 +506,7 @@ class CubeCluster:
     def _fill_estimates(
         self,
         out: np.ndarray,
-        degraded: Dict[int, Tuple[List[int], List, List]],
+        degraded: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]],
         estimates: List[Optional[RangeEstimate]],
         epoch: int,
     ) -> np.ndarray:
@@ -524,16 +517,23 @@ class CubeCluster:
         guaranteed interval, and affected slots in ``estimates`` get a
         :class:`RangeEstimate` whose interval is the exact partials
         shifted by the summed degraded-shard hulls.
+
+        The point and interval arrays are float64 whatever ``out``'s
+        dtype: aggregates estimate in float64, and a ``RangeEstimate``
+        carries floats. The returned values are therefore float64 as
+        soon as one slot is estimated.
         """
-        point = out.copy()
-        low_total = out.copy()
-        high_total = out.copy()
+        point = out.astype(np.float64)
+        low_total = point.copy()
+        high_total = point.copy()
         estimated = np.zeros(len(out), dtype=bool)
         degraded_shards = tuple(sorted(degraded))
         for shard in degraded_shards:
-            idx, slo, shi = degraded[shard]
+            idx, local_lows, local_highs = degraded[shard]
             try:
-                triples = self.aggregates.estimate_boxes(shard, slo, shi)
+                triples = self.aggregates.estimate_boxes(
+                    shard, local_lows, local_highs
+                )
             except ClusterError as error:
                 # no aggregate either (e.g. rollback skipped a downed
                 # shard): fail exactly rather than guess unboundedly
@@ -542,11 +542,10 @@ class CubeCluster:
                     f"shard {shard} is unreachable and has no "
                     f"aggregates to estimate from: {error}"
                 ) from error
-            index = np.asarray(idx, dtype=np.intp)
-            np.add.at(point, index, [t[0] for t in triples])
-            np.add.at(low_total, index, [t[1] for t in triples])
-            np.add.at(high_total, index, [t[2] for t in triples])
-            estimated[index] = True
+            point[idx] += triples[:, 0]
+            low_total[idx] += triples[:, 1]
+            high_total[idx] += triples[:, 2]
+            estimated[idx] = True
         for i in np.flatnonzero(estimated):
             estimates[int(i)] = RangeEstimate(
                 value=float(point[i]),

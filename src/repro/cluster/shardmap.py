@@ -11,11 +11,15 @@ A :class:`ShardMap` owns the routing math and nothing else:
 * **updates** — a cell belongs to exactly one shard
   (:meth:`ShardMap.shard_of`, :meth:`ShardMap.split_updates`);
 * **queries** — an inclusive query box may straddle shard boundaries;
-  :meth:`ShardMap.split_box` cuts it into at most one *local* sub-box
-  per shard, and because the slabs are disjoint and cover the axis, the
-  exact sum over the original box equals the sum of the per-shard
-  partial sums. No approximation anywhere — the split is pure index
-  arithmetic.
+  :meth:`ShardMap.split_boxes` cuts a whole ``(Q, d)`` batch of boxes
+  into at most one *local* sub-box per box and shard, with array ops
+  only: the batch is validated once, each box's first and last shard
+  come from one ``searchsorted`` on the slab starts, and each touched
+  shard takes its boxes with one mask and clips axis 0 to its slab.
+  Because the slabs are disjoint and cover the axis, the exact sum over
+  the original box equals the sum of the per-shard partial sums. No
+  approximation anywhere — the split is pure index arithmetic.
+  :meth:`ShardMap.split_box` is the one-box call into the same split.
 
 Local coordinates: shard ``s`` owning rows ``[start, stop)`` of axis 0
 sees the global cell ``(c0, c1, ..)`` as ``(c0 - start, c1, ..)``; all
@@ -37,9 +41,13 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ClusterError, RangeError
+from repro.core.indexing import normalize_range_batch
+from repro.errors import ClusterError, DimensionError, RangeError
 
 BoxSplit = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
+#: ``(shard, query_idx, local_lows, local_highs)``: the ascending batch
+#: rows that touch ``shard`` and their ``(k, d)`` local sub-boxes.
+BatchSplit = Tuple[int, np.ndarray, np.ndarray, np.ndarray]
 
 
 class ShardMap:
@@ -74,7 +82,9 @@ class ShardMap:
             (int(edges[i]), int(edges[i + 1]))
             for i in range(self.num_shards)
         )
-        self._starts = [start for start, _ in self.bounds]
+        self._starts = np.array(
+            [start for start, _ in self.bounds], dtype=np.intp
+        )
         self.epoch = self._check_epoch(epoch)
 
     @staticmethod
@@ -119,7 +129,9 @@ class ShardMap:
         shard_map.shape = shape
         shard_map.num_shards = len(slabs)
         shard_map.bounds = slabs
-        shard_map._starts = [start for start, _ in slabs]
+        shard_map._starts = np.array(
+            [start for start, _ in slabs], dtype=np.intp
+        )
         shard_map.epoch = cls._check_epoch(epoch)
         return shard_map
 
@@ -217,51 +229,62 @@ class ShardMap:
             )
         return (c0 - start,) + tuple(int(c) for c in cell[1:])
 
-    def validate_box(
-        self, low: Sequence[int], high: Sequence[int]
-    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Bounds/arity/order checks matching the method contract."""
-        low = tuple(int(c) for c in low)
-        high = tuple(int(c) for c in high)
-        if len(low) != self.ndim or len(high) != self.ndim:
+    def split_boxes(self, lows, highs) -> List[BatchSplit]:
+        """Cut a batch of inclusive query boxes into per-shard sub-boxes.
+
+        ``lows`` and ``highs`` are ``(Q, d)`` integer arrays or lists
+        of coordinate tuples. Returns ``[(shard, query_idx, local_lows,
+        local_highs), ...]`` in ascending shard order, one entry per
+        shard that some box touches. ``query_idx`` holds the ascending
+        batch rows touching ``shard`` (no repeats), and the local boxes
+        cover each box's rows in that slab exactly once: summing the
+        shards' partial range sums per row yields the global answers
+        with no overlap and no gap.
+
+        Raises:
+            RangeError: if any box is inverted, out of bounds or of the
+                wrong arity, before any piece is cut.
+        """
+        try:
+            low, high = normalize_range_batch(lows, highs, self.shape)
+        except (DimensionError, ValueError) as error:
+            # ValueError: ragged rows numpy cannot stack into (Q, d)
             raise RangeError(
-                f"range ({low}, {high}) does not match cube arity "
-                f"{self.ndim}"
-            )
-        for axis, (lo, hi, size) in enumerate(zip(low, high, self.shape)):
-            if lo > hi:
-                raise RangeError(
-                    f"inverted range on axis {axis}: {lo} > {hi}"
-                )
-            if lo < 0 or hi >= size:
-                raise RangeError(
-                    f"range ({low}, {high}) out of bounds on axis "
-                    f"{axis} (size {size})"
-                )
-        return low, high
+                f"query boxes do not match cube arity {self.ndim}: "
+                f"{error}"
+            ) from None
+        if not len(low):
+            return []
+        first = np.searchsorted(self._starts, low[:, 0], side="right") - 1
+        last = np.searchsorted(self._starts, high[:, 0], side="right") - 1
+        pieces: List[BatchSplit] = []
+        for shard in range(int(first.min()), int(last.max()) + 1):
+            idx = np.flatnonzero((first <= shard) & (last >= shard))
+            if not len(idx):
+                continue
+            start, stop = self.bounds[shard]
+            local_low = low[idx]
+            local_high = high[idx]
+            local_low[:, 0] = np.maximum(local_low[:, 0], start) - start
+            local_high[:, 0] = np.minimum(local_high[:, 0], stop - 1) - start
+            pieces.append((shard, idx, local_low, local_high))
+        return pieces
 
     def split_box(
         self, low: Sequence[int], high: Sequence[int]
     ) -> List[BoxSplit]:
         """Cut one inclusive query box into per-shard local sub-boxes.
 
-        Returns ``[(shard, local_low, local_high), ...]`` covering the
-        box exactly once: summing the shards' partial range sums yields
-        the global answer with no overlap and no gap.
+        The one-box form of :meth:`split_boxes`: returns ``[(shard,
+        local_low, local_high), ...]`` with coordinate tuples.
         """
-        low, high = self.validate_box(low, high)
-        first = bisect.bisect_right(self._starts, low[0]) - 1
-        pieces: List[BoxSplit] = []
-        for shard in range(first, self.num_shards):
-            start, stop = self.bounds[shard]
-            if start > high[0]:
-                break
-            lo0 = max(low[0], start) - start
-            hi0 = min(high[0], stop - 1) - start
-            pieces.append(
-                (shard, (lo0,) + low[1:], (hi0,) + high[1:])
+        return [
+            (shard, tuple(local_low[0].tolist()),
+             tuple(local_high[0].tolist()))
+            for shard, _, local_low, local_high in self.split_boxes(
+                [low], [high]
             )
-        return pieces
+        ]
 
     def split_updates(
         self, updates: Sequence[Tuple[Sequence[int], object]]

@@ -74,6 +74,10 @@ from repro.metrics.registry import MetricsRegistry
 from repro.serve.group import UpdateGroup, coalesce
 
 
+#: The largest time slot a cell can hold; a larger ``day`` is ``bad_time``.
+_MAX_SLOT = int(np.iinfo(np.intp).max)
+
+
 class _Encoded(NamedTuple):
     """One chunk's admitted rows as arrays, plus the chunk's records —
     kept so a row expired by its own group's roll can dead-letter with
@@ -391,6 +395,12 @@ class IngestPipeline:
                 ) from None
             if slot < 0:
                 raise _BadTime(f"negative time slot {slot}")
+            if slot > _MAX_SLOT:
+                # past the index dtype: no cell can hold it
+                raise _BadTime(
+                    f"time slot {slot} exceeds the largest index "
+                    f"{_MAX_SLOT}"
+                )
         coords, measure = self.schema.encode_record(record)
         if self.measure_dtype is not None:
             try:

@@ -188,7 +188,10 @@ class CubeClient:
         if allow_estimate:
             params["allow_estimate"] = True
         result = await self.call("range_sum_many", params, **kw)
-        values = np.asarray(result["values"], dtype=np.float64)
+        # the dtype np.asarray infers: JSON carries an int64 cube's sums
+        # as exact ints (int64 here), a float cube's as floats, and an
+        # empty list decodes as float64
+        values = np.asarray(result["values"])
         if allow_estimate:
             estimates = [
                 None if e is None else RangeEstimate.from_wire(e)
@@ -278,7 +281,7 @@ class CubeClient:
                     raise ProtocolError("stream chunk carries no result")
                 yield (
                     int(result["offset"]),
-                    np.asarray(result["values"], dtype=np.float64),
+                    np.asarray(result["values"]),  # as in range_sum_many
                     result["version"],
                 )
                 if reply.get("final", False):

@@ -86,6 +86,12 @@ def model_encode(record, schema, time_column, measure_dtype):
             ) from None
         if slot < 0:
             raise _Reject("bad_time", f"negative time slot {slot}")
+        if slot > np.iinfo(np.intp).max:
+            raise _Reject(
+                "bad_time",
+                f"time slot {slot} exceeds the largest index "
+                f"{np.iinfo(np.intp).max}",
+            )
     try:
         coords, measure = schema.encode_record(record)
     except SchemaError as error:
@@ -262,6 +268,7 @@ day_steps = st.one_of(
 )
 day_oddities = st.sampled_from([
     None, "x", "2", -1, -3, True, 3.0, np.int64(1), MISSING,
+    2 ** 70, "9" * 25,                                   # beyond intp
 ])
 
 
@@ -382,3 +389,24 @@ def test_every_quarantine_reason_is_exercised():
     assert any("not admissible" in e for e in errors)
     check_equal(records, True, np.int64, 8, 8)
     check_equal(records, True, np.int64, 3, 2)
+
+
+def test_a_day_beyond_the_index_dtype_dead_letters_as_bad_time():
+    """A time value no cell index can hold is quarantined as
+    ``bad_time``, and the rows after it still land."""
+    records = [
+        {"day": 0, "x": 1, "sales": 1.0},
+        {"day": 2 ** 70, "x": 1, "sales": 1.0},
+        {"day": "9" * 25, "x": 2, "sales": 1.0},
+        {"day": 1, "x": 3, "sales": 1.0},
+    ]
+    with tempfile.TemporaryDirectory() as directory:
+        _, dead, checkpoint, cube = pipeline_run(
+            records, schema_for(True), rolling=True, measure_dtype=None,
+            chunk_rows=4, group_rows=4, directory=directory,
+        )
+    assert checkpoint["offset"] == len(records)
+    assert dead.count(b"bad_time") == 2
+    assert cube.sum() == 2.0
+    check_equal(records, True, None, 4, 4)
+    check_equal(records, True, None, 1, 1)

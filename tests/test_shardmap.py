@@ -1,7 +1,11 @@
 """ShardMap: exact leading-dimension partitioning of cubes and queries."""
 
+import bisect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ShardMap
 from repro.errors import ClusterError, RangeError
@@ -128,3 +132,156 @@ class TestSplitBox:
                 start, _ = shardmap.slab(shard)
                 rows.extend(range(start + slow[0], start + shigh[0] + 1))
             assert rows == list(range(low[0], high[0] + 1))
+
+
+# -- split_boxes against the per-box reference --------------------------------
+
+
+def reference_split_box(shardmap, low, high):
+    """The per-box split loop ``split_boxes`` replaced, kept verbatim
+    (validation included) as the reference for the batch split."""
+    low = tuple(int(c) for c in low)
+    high = tuple(int(c) for c in high)
+    if len(low) != shardmap.ndim or len(high) != shardmap.ndim:
+        raise RangeError("arity")
+    for lo, hi, size in zip(low, high, shardmap.shape):
+        if lo > hi or lo < 0 or hi >= size:
+            raise RangeError("bounds")
+    starts = [start for start, _ in shardmap.bounds]
+    first = bisect.bisect_right(starts, low[0]) - 1
+    pieces = []
+    for shard in range(first, shardmap.num_shards):
+        start, stop = shardmap.bounds[shard]
+        if start > high[0]:
+            break
+        lo0 = max(low[0], start) - start
+        hi0 = min(high[0], stop - 1) - start
+        pieces.append((shard, (lo0,) + low[1:], (hi0,) + high[1:]))
+    return pieces
+
+
+@st.composite
+def layouts(draw):
+    """A ``ShardMap.from_bounds`` layout, d = 1..4, single-row slabs
+    included, with a batch of valid boxes (Q = 0 included)."""
+    ndim = draw(st.integers(1, 4))
+    rows = draw(st.integers(1, 24))
+    shape = (rows,) + tuple(
+        draw(st.integers(1, 5)) for _ in range(ndim - 1)
+    )
+    cuts = draw(st.sets(st.integers(1, rows - 1))) if rows > 1 else set()
+    edges = [0] + sorted(cuts) + [rows]
+    shardmap = ShardMap.from_bounds(shape, list(zip(edges, edges[1:])))
+    # rows on slab edges are drawn often, so boxes end exactly on them
+    row = st.one_of(
+        st.integers(0, rows - 1),
+        st.sampled_from(sorted({e for e in edges[:-1]}
+                               | {e - 1 for e in edges[1:]})),
+    )
+
+    def box(_):
+        low, high = [], []
+        for axis, size in enumerate(shape):
+            coord = row if axis == 0 else st.integers(0, size - 1)
+            a, b = draw(coord), draw(coord)
+            low.append(min(a, b))
+            high.append(max(a, b))
+        return tuple(low), tuple(high)
+
+    boxes = [box(i) for i in range(draw(st.integers(0, 12)))]
+    if draw(st.booleans()):
+        # a box spanning every shard
+        boxes.append(((0,) * ndim, tuple(n - 1 for n in shape)))
+    return shardmap, boxes
+
+
+def check_against_reference(shardmap, boxes):
+    lows = [low for low, _ in boxes]
+    highs = [high for _, high in boxes]
+    d = shardmap.ndim
+    pieces = shardmap.split_boxes(
+        np.asarray(lows, dtype=np.intp).reshape(-1, d),
+        np.asarray(highs, dtype=np.intp).reshape(-1, d),
+    )
+    assert pieces == sorted(pieces, key=lambda piece: piece[0])
+    expected = {}
+    for q, (low, high) in enumerate(boxes):
+        for shard, slow, shigh in reference_split_box(shardmap, low, high):
+            expected.setdefault(shard, []).append((q, slow, shigh))
+    assert [piece[0] for piece in pieces] == sorted(expected)
+    covered = [[] for _ in boxes]
+    for shard, idx, local_lows, local_highs in pieces:
+        assert idx.dtype == np.intp
+        assert np.all(np.diff(idx) > 0)  # ascending, no repeats
+        assert local_lows.shape == local_highs.shape == (len(idx), d)
+        got = [
+            (q, tuple(lo), tuple(hi))
+            for q, lo, hi in zip(
+                idx.tolist(), local_lows.tolist(), local_highs.tolist()
+            )
+        ]
+        assert got == expected[shard]
+        start, _ = shardmap.slab(shard)
+        for q, lo, hi in got:
+            covered[q].extend(range(start + lo[0], start + hi[0] + 1))
+    for q, (low, high) in enumerate(boxes):
+        assert covered[q] == list(range(low[0], high[0] + 1))
+    # the one-box form is the same split
+    for low, high in boxes:
+        assert shardmap.split_box(low, high) == reference_split_box(
+            shardmap, low, high
+        )
+
+
+class TestSplitBoxes:
+    @settings(max_examples=200, deadline=None)
+    @given(case=layouts())
+    def test_matches_the_per_box_reference(self, case):
+        check_against_reference(*case)
+
+    def test_empty_batch(self):
+        shardmap = ShardMap((6, 3), 2)
+        assert shardmap.split_boxes([], []) == []
+        assert shardmap.split_boxes(
+            np.empty((0, 2), dtype=np.intp), np.empty((0, 2), dtype=np.intp)
+        ) == []
+
+    def test_single_row_slabs_and_edges(self):
+        shardmap = ShardMap.from_bounds((5, 2), [(0, 1), (1, 2), (2, 5)])
+        check_against_reference(shardmap, [
+            ((0, 0), (0, 1)), ((1, 0), (1, 1)), ((0, 0), (1, 1)),
+            ((1, 1), (2, 1)), ((2, 0), (4, 0)), ((0, 0), (4, 1)),
+        ])
+
+    def test_lists_and_integer_arrays_agree(self):
+        shardmap = ShardMap((9, 4), 3)
+        lows, highs = [(0, 1), (5, 0)], [(8, 2), (6, 3)]
+        from_lists = shardmap.split_boxes(lows, highs)
+        from_arrays = shardmap.split_boxes(
+            np.asarray(lows, dtype=np.int32), np.asarray(highs)
+        )
+        assert len(from_lists) == len(from_arrays)
+        for a, b in zip(from_lists, from_arrays):
+            assert a[0] == b[0]
+            for x, y in zip(a[1:], b[1:]):
+                assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("low, high", [
+        ((5, 0), (4, 3)),          # inverted
+        ((0, 0), (10, 3)),         # out of bounds
+        ((0, -1), (1, 1)),         # negative
+        ((0, 0, 0), (1, 1, 1)),    # wrong arity
+        ((0,), (1,)),              # wrong arity
+        ((0, 0), (1,)),            # low and high disagree
+    ])
+    def test_a_malformed_box_raises_range_error(self, low, high):
+        shardmap = ShardMap((10, 4), 2)
+        with pytest.raises(RangeError):
+            shardmap.split_box(low, high)
+        with pytest.raises(RangeError):
+            shardmap.split_boxes([(0, 0), low], [(1, 1), high])
+
+    def test_ragged_rows_raise_range_error(self):
+        shardmap = ShardMap((10, 4), 2)
+        with pytest.raises(RangeError):
+            shardmap.split_boxes([(0, 0), (1,)], [(1, 1), (2, 2)])
