@@ -89,6 +89,34 @@ class TestSlabSummary:
             _, lo, hi = summary.estimate_box(low, high)
             assert lo <= truth <= hi
 
+    def test_apply_matches_cell_by_cell_fold(self, rng):
+        """A group folds exactly as its cells would one at a time, in
+        order, repeated cells and mixed delta types included."""
+        slab = rng.standard_normal((12, 9))
+        summary = SlabSummary(slab, blocks_per_axis=4)
+        sums = summary.block_sums.copy()
+        mass = summary.block_mass.copy()
+        for _ in range(30):
+            group = [
+                (
+                    tuple(int(rng.integers(0, n)) for n in slab.shape),
+                    [float(rng.standard_normal()) * 1e3,
+                     int(rng.integers(-5, 6)),
+                     np.float32(0.1)][int(rng.integers(0, 3))],
+                )
+                for _ in range(int(rng.integers(0, 12)))
+            ]
+            summary.apply(group)
+            for cell, delta in group:
+                block = tuple(
+                    int(np.searchsorted(edges, c, side="right") - 1)
+                    for c, edges in zip(cell, summary.edges)
+                )
+                sums[block] += float(delta)
+                mass[block] += abs(float(delta))
+        np.testing.assert_array_equal(summary.block_sums, sums)
+        np.testing.assert_array_equal(summary.block_mass, mass)
+
     def test_interval_is_not_vacuous(self, rng):
         """The bound must be an estimate, not +/- infinity: for a box
         aligned to block edges it collapses to (nearly) exact."""
