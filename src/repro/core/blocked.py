@@ -17,6 +17,10 @@ def blocked_cumsum(array: np.ndarray, axis: int, block: int) -> np.ndarray:
     largest multiple of ``block`` not exceeding ``j``. The final block may
     be partial; it is handled identically.
 
+    One pass into one output: the whole blocks reshape into
+    ``(n // block, block)`` and cumsum over the block sub-axis; a ragged
+    last block is cumsummed on its own beside them.
+
     Args:
         array: input of any shape.
         axis: axis along which to accumulate.
@@ -28,30 +32,23 @@ def blocked_cumsum(array: np.ndarray, axis: int, block: int) -> np.ndarray:
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
     n = array.shape[axis]
-    if block < n and n % block == 0:
-        # Evenly-blocked axes reshape into (n // block, block) and cumsum
-        # over the block sub-axis directly — one pass, no carry fixup.
-        split = (
-            array.shape[:axis] + (n // block, block) + array.shape[axis + 1:]
-        )
-        out = np.cumsum(array.reshape(split), axis=axis + 1)
-        return out.reshape(array.shape)
-    out = np.cumsum(array, axis=axis)
     if block >= n:
-        return out
-    # Subtract, from every element, the running total accumulated before the
-    # start of its block. Block b (b >= 1) starts at index b*block; the
-    # carried-in total is out[..., b*block - 1, ...].
-    starts = np.arange(block, n, block)
-    carried = np.take(out, starts - 1, axis=axis)
-    block_ids = np.arange(n) // block  # 0, 0, ..., 1, 1, ...
-    # Expand carried so carried_full[..., j, ...] is the carry for j's block.
-    carry_index = np.maximum(block_ids - 1, 0)
-    carried_full = np.take(carried, carry_index, axis=axis)
-    mask_shape = [1] * array.ndim
-    mask_shape[axis] = n
-    in_first_block = (block_ids == 0).reshape(mask_shape)
-    return np.where(in_first_block, out, out - carried_full)
+        return np.cumsum(array, axis=axis)
+    whole = n - n % block
+    lead = (slice(None),) * axis
+    head, rest = lead + (slice(0, whole),), lead + (slice(whole, None),)
+    split = (
+        array.shape[:axis] + (whole // block, block) + array.shape[axis + 1:]
+    )
+    out = np.empty(array.shape, np.cumsum(array[:0]).dtype)
+    # splitting one axis of a strided view is always a view, so the
+    # cumsums write straight into ``out``
+    np.cumsum(
+        array[head].reshape(split), axis=axis + 1, out=out[head].reshape(split)
+    )
+    if whole < n:
+        np.cumsum(array[rest], axis=axis, out=out[rest])
+    return out
 
 
 def blocked_prefix_all_axes(array: np.ndarray, block) -> np.ndarray:

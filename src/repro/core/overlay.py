@@ -35,7 +35,9 @@ one box must match a disk page exactly (Section 4.4).
 
 Physically the overlay keeps one dense array per nonempty ``Z``
 (``2^d - 1`` arrays); the array for ``Z`` is indexed by box number on the
-dimensions in ``Z`` and by raw cell coordinate elsewhere.
+dimensions in ``Z`` and by raw cell coordinate elsewhere. All of them are
+views into one flat buffer, so a batched read gathers every term of the
+query identity with one ``take``.
 """
 
 from __future__ import annotations
@@ -51,14 +53,9 @@ from repro.metrics.counters import AccessCounter
 
 Coord = Tuple[int, ...]
 
-
-def _block_lengths(n: int, k: int) -> np.ndarray:
-    """Lengths of the k-blocks tiling an axis of size ``n`` (last may be short)."""
-    full, rem = divmod(n, k)
-    lengths = [k] * full
-    if rem:
-        lengths.append(rem)
-    return np.array(lengths, dtype=np.intp)
+#: Rows per pass of the batched overlay gather (see
+#: :meth:`Overlay.contribution_rows`).
+GATHER_CHUNK_ROWS = 8192
 
 
 def _exclusive_blocked_cumsum(array: np.ndarray, axis: int, k: int) -> np.ndarray:
@@ -67,11 +64,9 @@ def _exclusive_blocked_cumsum(array: np.ndarray, axis: int, k: int) -> np.ndarra
     ``out[..., c, ...] = sum(array[..., a+1 .. c, ...])`` where ``a`` is
     the block start — zero at block starts themselves.
     """
-    inclusive = blocked_cumsum(array, axis, k)
-    starts = np.arange(0, array.shape[axis], k)
-    start_vals = np.take(array, starts, axis=axis)
-    reps = _block_lengths(array.shape[axis], k)
-    return inclusive - np.repeat(start_vals, reps, axis=axis)
+    zeroed = array.copy()
+    zeroed[(slice(None),) * axis + (slice(0, None, k),)] = 0
+    return blocked_cumsum(zeroed, axis, k)
 
 
 def subset_update_slices(shape, box_sizes, boxes_shape, idx, mask):
@@ -179,29 +174,31 @@ class Overlay:
         self.shape = source.shape
         self.ndim = source.ndim
         self.box_sizes = indexing.normalize_box_sizes(box_size, source.shape)
+        # small integers widen to the dtype np.cumsum would give
+        source = source.astype(np.cumsum(source[:0]).dtype, copy=False)
         self.boxes_shape = tuple(
             -(-n // k) for n, k in zip(source.shape, self.box_sizes)
         )
         self.counter = counter if counter is not None else AccessCounter()
         self._full_mask = (1 << self.ndim) - 1
-        # query-kernel tables: per axis, each coordinate's box number
-        # and its bit of the target's off-anchor bitmask (bit j set =
-        # coordinate j is not on its box's anchor face)
-        self._box_of = tuple(
-            np.arange(n, dtype=np.intp) // k
-            for n, k in zip(self.shape, self.box_sizes)
-        )
+        # query-kernel tables: per axis, each coordinate's bit of the
+        # target's off-anchor bitmask (bit j set = coordinate j is not on
+        # its box's anchor face)
         self._off_bit = tuple(
             np.where(np.arange(n) % k != 0, 1 << axis, 0)
             for axis, (n, k) in enumerate(zip(self.shape, self.box_sizes))
         )
-        subs = np.arange(self._full_mask + 1)
-        #: applicable[S', off]: border term S' applies to the target —
-        #: S' is a nonempty subset of off, and not all of D
-        self._applicable = (subs & subs[:, None]) == subs[:, None]
-        self._applicable[[0, self._full_mask]] = False
+        subs = np.arange(self._full_mask)
+        #: applies[sub, off]: term ``sub`` of the query expansion applies
+        #: to a target with off-anchor bitmask ``off`` — term 0 is the
+        #: anchor value, term S' the border value of subset S', which
+        #: applies when S' is a subset of off
+        self._applies = (
+            subs[:, None] & np.arange(self._full_mask + 1)
+        ) == subs[:, None]
         #: border reads of one target, by its off-anchor bitmask
-        self._border_reads = self._applicable.sum(axis=0)
+        self._border_reads = self._applies[1:].sum(axis=0)
+        self._layout_terms(source.dtype)
         self._build(source)
 
     @property
@@ -213,29 +210,76 @@ class Overlay:
 
     # -- construction -------------------------------------------------------
 
+    def _layout_terms(self, dtype) -> None:
+        """Allocate every subset's value array in one flat buffer, by term.
+
+        Term ``sub`` of the query expansion (0 = the anchor value, else the
+        border value of subset ``S' = sub``) reads the array of
+        ``Z = D - S'`` at the box number on ``Z`` axes and at the raw
+        coordinate on ``S'`` axes. ``_term_offsets[axis][sub, c]`` is
+        coordinate ``c``'s share of that term's flat index (axis 0's also
+        carries where the array starts), so adding one gathered row per
+        axis gives the flat index of every term of a target.
+        """
+        spans = []
+        offsets = [
+            np.empty((self._full_mask, n), dtype=np.intp) for n in self.shape
+        ]
+        start = 0
+        for sub in range(self._full_mask):
+            mask = self._full_mask ^ sub
+            shape = tuple(
+                b if mask >> axis & 1 else n
+                for axis, (n, b) in enumerate(zip(self.shape, self.boxes_shape))
+            )
+            size = stride = int(np.prod(shape))
+            for axis, (n, k) in enumerate(zip(self.shape, self.box_sizes)):
+                stride //= shape[axis]  # C order
+                coords = np.arange(n) if sub >> axis & 1 else np.arange(n) // k
+                offsets[axis][sub] = coords * stride
+            offsets[0][sub] += start
+            spans.append((mask, slice(start, start + size), shape))
+            start += size
+        self._term_offsets = tuple(offsets)
+        self._flat = np.empty(start, dtype=dtype)
+        self._values: Dict[int, np.ndarray] = {
+            mask: self._flat[span].reshape(shape)
+            for mask, span, shape in spans
+        }
+
     def _build(self, array: np.ndarray) -> None:
-        """Vectorized construction of the 2^d - 1 per-subset value arrays."""
-        self._values: Dict[int, np.ndarray] = {}
+        """Vectorized construction of the 2^d - 1 per-subset value arrays.
+
+        Fills the views :meth:`_layout_terms` allocated. Reduce first:
+        per ``Z`` axis, ``SUM[0, a_j]`` at each anchor is the
+        exclusive cumsum of the block sums plus the anchor element, and
+        the ``prod{a_j}`` exclusion is the anchor element itself. Only
+        their difference, about ``k``-fold smaller per ``Z`` axis, takes
+        the exclusive blocked cumsums along the non-``Z`` axes. Subset
+        ``Z`` extends the reduction of ``Z`` minus its highest axis.
+        """
+        starts = [
+            np.arange(0, n, k) for n, k in zip(self.shape, self.box_sizes)
+        ]
+        reduced = {0: (array, array)}
         for mask in range(1, self._full_mask + 1):
-            work = array
-            for axis in range(self.ndim):
-                if not mask & (1 << axis):
-                    work = _exclusive_blocked_cumsum(
-                        work, axis, self.box_sizes[axis]
+            axis = mask.bit_length() - 1
+            upto, exclusion = reduced[mask ^ (1 << axis)]
+            block_sums = np.add.reduceat(upto, starts[axis], axis=axis)
+            upto = np.take(upto, starts[axis], axis=axis)
+            lead = (slice(None),) * axis
+            upto[lead + (slice(1, None),)] += np.cumsum(
+                block_sums[lead + (slice(None, -1),)], axis=axis
+            )
+            exclusion = np.take(exclusion, starts[axis], axis=axis)
+            reduced[mask] = upto, exclusion
+            values = upto - exclusion
+            for other in range(self.ndim):
+                if not mask & (1 << other):
+                    values = _exclusive_blocked_cumsum(
+                        values, other, self.box_sizes[other]
                     )
-            inclusive = work
-            for axis in range(self.ndim):
-                if mask & (1 << axis):
-                    inclusive = np.cumsum(inclusive, axis=axis)
-            s1, s2 = inclusive, work
-            for axis in range(self.ndim):
-                if mask & (1 << axis):
-                    starts = np.arange(
-                        0, self.shape[axis], self.box_sizes[axis]
-                    )
-                    s1 = np.take(s1, starts, axis=axis)
-                    s2 = np.take(s2, starts, axis=axis)
-            self._values[mask] = s1 - s2
+            self._values[mask][...] = values
 
     # -- lookups -------------------------------------------------------------
 
@@ -334,48 +378,46 @@ class Overlay:
         """:meth:`prefix_contribution_many` over an already-validated
         ``(Q, d)`` batch.
 
-        One fancy-indexed gather per term of the subset expansion: the
-        anchor-value gather plus one gather per proper nonempty subset
-        ``S'`` of the dimensions, added only to the rows whose target is
-        off-anchor on all of ``S'`` (the same per-target subset the
-        looped path walks). The subset gathers run over every row — the
-        index is in bounds whether or not the term applies — and an
-        ``np.where`` mask adds ``-0.0`` for the inapplicable ones, so no
-        row set is ever compacted. Charges identical counter totals: one
-        anchor read per target plus one border read per applicable
-        ``(target, subset)`` pair.
+        One ``take`` from the flat buffer gathers every term of the subset
+        expansion at once: the anchor value plus one border value per
+        proper nonempty subset ``S'`` of the dimensions. A term that does
+        not apply to a target (``S'`` is not a subset of its off-anchor
+        axes) is masked to ``-0.0``, and the terms are summed in expansion
+        order, as the looped path adds them. No row set is ever
+        compacted. Charges identical counter totals: one anchor read per
+        target plus one border read per applicable ``(target, subset)``
+        pair.
+
+        Rows go through in chunks of :data:`GATHER_CHUNK_ROWS`, which
+        bounds the ``(2^d - 1) x rows`` temporaries however many corners
+        a batch stacks.
         """
-        anchor_grid = self._values[self._full_mask]
         q_count = len(rows)
+        if q_count > GATHER_CHUNK_ROWS:
+            return np.concatenate([
+                self.contribution_rows(rows[start:start + GATHER_CHUNK_ROWS])
+                for start in range(0, q_count, GATHER_CHUNK_ROWS)
+            ])
         if q_count == 0:
-            return np.empty(0, dtype=anchor_grid.dtype)
+            return np.empty(0, dtype=self._flat.dtype)
         cols = rows.T
-        box_cols = tuple(
-            self._box_of[axis][cols[axis]] for axis in range(self.ndim)
-        )
         off_bits = self._off_bit[0][cols[0]]
+        index = self._term_offsets[0].take(cols[0], axis=1)
         for axis in range(1, self.ndim):
             off_bits = off_bits | self._off_bit[axis][cols[axis]]
-        total = anchor_grid[box_cols]
+            index += self._term_offsets[axis].take(cols[axis], axis=1)
+        terms = self._flat.take(index)
         self.counter.read(q_count, structure="overlay.anchor")
         border_reads = int(self._border_reads[off_bits].sum())
         if not border_reads:
-            return total
-        # -0.0 is the exact additive identity: inapplicable rows keep
-        # their partial sum bit for bit, signed zeros included
-        skip = total.dtype.type(-0.0)
-        for sub in range(1, self._full_mask):
-            cell = tuple(
-                cols[axis] if sub >> axis & 1 else box_cols[axis]
-                for axis in range(self.ndim)
-            )
-            total += np.where(
-                self._applicable[sub][off_bits],
-                self._values[self._full_mask ^ sub][cell],
-                skip,
-            )
+            return terms[0]
         self.counter.read(border_reads, structure="overlay.border")
-        return total
+        # -0.0 is the exact additive identity: an inapplicable term keeps
+        # the partial sum bit for bit, signed zeros included; a reduce
+        # over the outer axis adds the terms in order after it
+        skip = terms.dtype.type(-0.0)
+        terms = np.where(self._applies.take(off_bits, axis=1), terms, skip)
+        return np.add.reduce(terms, axis=0, initial=skip)
 
     # -- updates -------------------------------------------------------------
 

@@ -72,7 +72,13 @@ class RelativePrefixArray:
         if len(rows) == 0:
             return np.empty(0, dtype=self._rp.dtype)
         self.counter.read(len(rows), structure="RP")
-        return self._rp[tuple(rows.T)]
+        # one take at the C-order flat index: cheaper than a fancy index
+        # with one index array per axis
+        cols = rows.T
+        index = cols[0]
+        for axis in range(1, self.ndim):
+            index = index * self.shape[axis] + cols[axis]
+        return self._rp.ravel().take(index)
 
     def cell_value(self, index: Sequence[int]):
         """Recover ``A[index]`` from RP alone by box-local differencing.

@@ -106,10 +106,11 @@ class RelativePrefixSumCube(RangeSumMethod):
         return self.rp.cell_value(index)
 
     def _prefix_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Batched prefix sums: overlay subset gathers plus one RP gather.
+        """Batched prefix sums: one overlay gather plus one RP gather.
 
-        One fancy-indexed gather per term of the query identity —
-        anchors, each border subset, and RP — with no per-query Python.
+        One ``take`` for every overlay term of the query identity —
+        anchors and each border subset — and one for RP, with no
+        per-query Python.
         Counter charges match the looped path exactly (see
         :meth:`Overlay.contribution_rows`).
         """

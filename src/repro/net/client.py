@@ -21,6 +21,7 @@ one budget, both sides of the wire.
 from __future__ import annotations
 
 import asyncio
+import numbers
 from typing import Any, AsyncIterator, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -202,11 +203,13 @@ class CubeClient:
 
     async def range_sum(
         self, low: Sequence[int], high: Sequence[int], **kw
-    ) -> Tuple[float, Any]:
+    ) -> Tuple[Any, Any]:
+        """One range sum; returns ``(value, version)``, the value a numpy
+        scalar in the dtype :meth:`range_sum_many` decodes."""
         result = await self.call(
             "range_sum", {"low": _coord(low), "high": _coord(high)}, **kw
         )
-        return float(result["value"]), result["version"]
+        return np.asarray(result["value"])[()], result["version"]
 
     async def submit_batch(
         self,
@@ -220,7 +223,7 @@ class CubeClient:
         (matching :meth:`CubeService.submit_batch`), independent of the
         request deadline."""
         wire_updates = [
-            [_coord(index), float(delta)] for index, delta in updates
+            [_coord(index), _delta(delta)] for index, delta in updates
         ]
         params: Dict[str, Any] = {"updates": wire_updates}
         if timeout is not None:
@@ -316,6 +319,13 @@ def _coord(index) -> list:
 
 def _coords(batch) -> list:
     return [_coord(index) for index in batch]
+
+
+def _delta(delta):
+    """An update delta as JSON carries it exactly: integers stay ints."""
+    if isinstance(delta, numbers.Integral):
+        return int(delta)
+    return float(delta)
 
 
 async def query_once(

@@ -544,7 +544,9 @@ class CubeServer:
         await self._send(writer, {
             "id": request_id, "ok": True,
             "result": {
-                "value": float(np.asarray(values)[0]),
+                # the Python scalar of the cube's dtype: JSON carries
+                # an int64 sum as an exact int, as range_sum_many does
+                "value": np.asarray(values)[0].item(),
                 "version": _stamp_json(stamp),
                 "epoch": _epoch_of(stamp),
             },

@@ -330,9 +330,11 @@ def test_stacked_kernel_matches_looped_range_sum(method_cls, case):
         lows = np.array([lo for lo, _ in boxes], dtype=np.intp).reshape(-1, d)
         highs = np.array([hi for _, hi in boxes], dtype=np.intp).reshape(-1, d)
         expected = _looped_range_sums(looped, boxes)
-        # Fenwick's prefix kernel runs in row chunks: 5-row chunks make
-        # most stacked batches span several, ragged last chunk included
-        with mock.patch.object(fenwick, "PREFIX_CHUNK_ROWS", 5):
+        # Fenwick's prefix kernel and the overlay gather run in row
+        # chunks: 5-row chunks make most stacked batches span several,
+        # ragged last chunk included
+        with mock.patch.object(fenwick, "PREFIX_CHUNK_ROWS", 5), \
+                mock.patch("repro.core.overlay.GATHER_CHUNK_ROWS", 5):
             got = batched.range_sum_many(lows, highs)
         assert got.dtype == expected.dtype == batched.dtype
         assert got.tobytes() == expected.tobytes()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.blocked import blocked_cumsum, blocked_prefix_all_axes
 
@@ -44,6 +46,21 @@ class TestBlockedCumsum:
         a = rng.integers(-5, 10, size=shape)
         got = blocked_cumsum(a, axis, block)
         assert np.array_equal(got, brute_blocked_cumsum(a, axis, block))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(1, 9), min_size=1, max_size=4),
+        st.data(),
+    )
+    def test_matches_bruteforce_on_every_axis(self, shape, data):
+        # ragged, evenly blocked, block of 1 and block >= n all occur
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        a = np.random.default_rng(seed).integers(-5, 10, size=shape)
+        for axis, n in enumerate(shape):
+            block = data.draw(st.integers(1, n + 2))
+            got = blocked_cumsum(a, axis, block)
+            assert got.dtype == a.dtype
+            assert np.array_equal(got, brute_blocked_cumsum(a, axis, block))
 
     def test_restarts_exactly_at_block_boundary(self):
         a = np.ones(9, dtype=np.int64)

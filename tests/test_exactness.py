@@ -106,6 +106,35 @@ def test_net_client_decodes_values_in_their_dtype():
             assert values.dtype == np.float64 and values.tolist() == [16.0]
 
 
+def test_net_single_box_read_keeps_int64_exact():
+    async def scenario(server):
+        async with await CubeClient.connect(*server.address) as client:
+            return await client.range_sum((0, 0), (7, 7))
+
+    with CubeService(RelativePrefixSumCube, big_cube()) as service:
+        with CubeServer(service, port=0) as server:
+            value, _ = asyncio.run(scenario(server))
+    assert value.dtype == np.int64 and value == BIG + 1
+
+
+def test_net_submit_keeps_int64_deltas_exact():
+    async def scenario(server):
+        async with await CubeClient.connect(*server.address) as client:
+            await client.submit_batch(
+                [((3, 3), BIG + 1), ((5, 2), np.int64(-(BIG + 3)))]
+            )
+            await client.flush()
+            cells = [(3, 3), (5, 2)]
+            return await client.range_sum_many(cells, cells)
+
+    zeros = np.zeros((8, 8), dtype=np.int64)
+    with CubeService(RelativePrefixSumCube, zeros) as service:
+        with CubeServer(service, port=0) as server:
+            values, _ = asyncio.run(scenario(server))
+    assert values.dtype == np.int64
+    assert values.tolist() == [BIG + 1, -(BIG + 3)]
+
+
 # -- every stack at once ------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import paper
-from repro.core.overlay import Overlay, _block_lengths, _exclusive_blocked_cumsum
+from repro.core.overlay import Overlay, _exclusive_blocked_cumsum
 from repro.errors import RangeError
 from repro.metrics.counters import AccessCounter
 
@@ -260,8 +260,3 @@ class TestSharedCounter:
         overlay.border_value((3, 4))
         assert counter.cells_read == 2
 
-
-def test_block_lengths_partial():
-    assert _block_lengths(10, 3).tolist() == [3, 3, 3, 1]
-    assert _block_lengths(9, 3).tolist() == [3, 3, 3]
-    assert _block_lengths(2, 5).tolist() == [2]
