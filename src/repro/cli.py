@@ -11,8 +11,8 @@ Subcommands:
 * ``cluster`` — drive a replicated, sharded serving cluster (optionally
   killing a primary mid-run) and print its operational stats.
 * ``router`` — serve a repeated dashboard workload through the query
-  router and print per-tier hit rates (``--no-cache`` turns the cache
-  tier off).
+  router and print per-tier hit rates (``--no-cache`` reads the
+  service directly instead).
 * ``serve`` — stand up the TCP serving tier (``repro.net``) in front of
   a cube service, optionally routed (``--router``) and tenant-gated
   (``--tenant name=token[:rate[:burst]]``), until interrupted.
@@ -290,30 +290,31 @@ def _cmd_router(args) -> int:
                            args.n - 1)
     blocks = args.n // g
     mismatches = 0
+    oracle = VersionOracle(cube)
     with CubeService(RelativePrefixSumCube, cube) as service:
-        with QueryRouter(service, enable_cache=args.cache) as router:
-            oracle = VersionOracle(cube)
-            for round_no in range(args.rounds):
-                blo = rng.integers(0, blocks, (args.queries, 2)) * g
-                bhi = blo + g * rng.integers(
-                    1, max(2, blocks // 2), (args.queries, 2)
-                )
-                bhi = np.minimum(bhi - 1, args.n - 1)
-                for lows, highs in ((hot_lows, hot_highs), (blo, bhi)):
-                    for _ in range(args.repeats):
-                        values = router.range_sum_many(lows, highs)
-                        mismatches += len(oracle.check(
-                            lows, highs, values, oracle.version
-                        ))
-                if round_no + 1 < args.rounds:
-                    cell = tuple(int(c) for c in rng.integers(0, args.n, 2))
-                    delta = float(rng.integers(1, 10))
-                    router.submit_batch([(cell, delta)])
-                    router.flush()
-                    oracle.record([(cell, delta)])
-    stats = router.stats()
+        # without a cache a router is just its backend: read the service
+        front = QueryRouter(service) if args.cache else service
+        for round_no in range(args.rounds):
+            blo = rng.integers(0, blocks, (args.queries, 2)) * g
+            bhi = blo + g * rng.integers(
+                1, max(2, blocks // 2), (args.queries, 2)
+            )
+            bhi = np.minimum(bhi - 1, args.n - 1)
+            for lows, highs in ((hot_lows, hot_highs), (blo, bhi)):
+                for _ in range(args.repeats):
+                    values = front.range_sum_many(lows, highs)
+                    mismatches += len(oracle.check(
+                        lows, highs, values, oracle.version
+                    ))
+            if round_no + 1 < args.rounds:
+                cell = tuple(int(c) for c in rng.integers(0, args.n, 2))
+                delta = float(rng.integers(1, 10))
+                front.submit_batch([(cell, delta)])
+                front.flush()
+                oracle.record([(cell, delta)])
     print(f"\n{mismatches} mismatches")
-    print(json.dumps(stats["router"], indent=2, default=str))
+    if args.cache:
+        print(json.dumps(front.stats()["router"], indent=2, default=str))
     return 1 if mismatches else 0
 
 
@@ -581,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     router_parser.add_argument(
         "--no-cache", dest="cache", action="store_false",
-        help="disable the memoized result tier",
+        help="read the service directly, without the router's cache",
     )
     router_parser.add_argument("--seed", type=int, default=0)
     router_parser.set_defaults(func=_cmd_router)

@@ -56,6 +56,7 @@ from repro.cluster.shardmap import ShardMap
 from repro.deadline import Deadline
 from repro.errors import (
     ClusterError,
+    ClusterDeadlineExceededError,
     ClusterUnavailableError,
     DeadlineExceededError,
 )
@@ -318,24 +319,16 @@ class CubeCluster:
             )
             return self._epoch_counter
 
-    def version_vector(self) -> Tuple[int, ...]:
-        """Per-shard last-acked sequence numbers, shard order.
-
-        The cluster's snapshot stamp: the router's caching tiers key
-        freshness on it, so a write to *any* shard invalidates exactly
-        the cached entries whose stamp covered that shard.
-        """
-        with self._topology:
-            return tuple(rs.last_acked for rs in self.replica_sets)
-
-    def stamp(self) -> Tuple[int, ...]:
-        """``(epoch, *version_vector)`` read atomically.
+    def current_stamp(self) -> Tuple[int, ...]:
+        """``(epoch, *version_vector)`` read atomically: the epoch,
+        then each shard's last-acked sequence number in shard order.
 
         The epoch prefix fences every consumer — router cache entries
         and net wire stamps — to the shard map the versions were read
         under: a version vector from one layout can never collide with
         one from another, even when the per-shard numbers happen to
-        match.
+        match. A write to *any* shard moves its entry, so the router's
+        cache invalidates exactly the answers whose stamp covered it.
         """
         with self._topology:
             return (
@@ -405,10 +398,49 @@ class CubeCluster:
         With ``return_shard_versions=True`` the result additionally
         carries a receipt ``{"epoch": e, "versions": {shard: v}}``
         naming, per exactly-read shard, the snapshot version the
-        sub-box reads were served from — the provenance the query
-        router stamps on cached answers. Ordering:
+        sub-box reads were served from — the per-shard half of
+        :meth:`query_many`'s stamp. Ordering:
         ``(values[, estimates][, receipt])``.
         """
+        values, estimates, receipt = self._read(
+            lows, highs, deadline, allow_estimate, stamped=False
+        )
+        result: Tuple = (values,)
+        if allow_estimate:
+            result = result + (estimates,)
+        if return_shard_versions:
+            result = result + (receipt,)
+        return result[0] if len(result) == 1 else result
+
+    def query_many(
+        self, lows, highs, deadline: Optional[Deadline] = None
+    ) -> Tuple[np.ndarray, Tuple[int, ...]]:
+        """Exact batched range sums plus their ``(epoch, *versions)``
+        stamp (see :meth:`current_stamp`).
+
+        Each shard the batch touches contributes the snapshot version
+        its sub-boxes were read at, every other shard its last-acked
+        version, all under the epoch of the shard map the read used —
+        so a query's stamp is exact for every shard it touches.
+        """
+        values, _, stamp = self._read(
+            lows, highs, deadline, False, stamped=True
+        )
+        return values, stamp
+
+    def query_many_estimated(
+        self, lows, highs, deadline: Optional[Deadline] = None
+    ) -> Tuple[np.ndarray, List[Optional[RangeEstimate]], Tuple[int, ...]]:
+        """:meth:`query_many` that answers unreachable shards from their
+        aggregates: ``(values, estimates, stamp)``, where
+        ``estimates[i]`` is a :class:`RangeEstimate` for a degraded slot
+        and ``None`` for an exact one."""
+        return self._read(lows, highs, deadline, True, stamped=True)
+
+    def _read(self, lows, highs, deadline, allow_estimate, *, stamped):
+        """``(values, estimates, receipt or stamp)`` of one batched read,
+        retried once against the new topology if a flip made a shard
+        look unavailable."""
         if len(lows) != len(highs):
             raise ClusterError(
                 f"{len(lows)} lows vs {len(highs)} highs"
@@ -420,8 +452,8 @@ class CubeCluster:
             return self._range_sum_attempt(
                 lows, highs, shardmap, replica_sets,
                 deadline=deadline,
-                return_shard_versions=return_shard_versions,
                 allow_estimate=allow_estimate,
+                stamped=stamped,
             )
         except ClusterUnavailableError:
             with self._topology:
@@ -435,8 +467,8 @@ class CubeCluster:
             return self._range_sum_attempt(
                 lows, highs, shardmap, replica_sets,
                 deadline=deadline,
-                return_shard_versions=return_shard_versions,
                 allow_estimate=allow_estimate,
+                stamped=stamped,
             )
 
     def _range_sum_attempt(
@@ -447,13 +479,20 @@ class CubeCluster:
         replica_sets: List[ReplicaSet],
         *,
         deadline: Optional[Deadline],
-        return_shard_versions: bool,
         allow_estimate: bool,
+        stamped: bool,
     ):
-        """One read pass against a consistent topology snapshot.
+        """One read pass against a consistent topology snapshot:
+        ``(values, estimates, provenance)``.
 
         The answers keep the shards' result dtype (an int64 cube sums
         exactly past 2^53); a batch that contacts no shard is float64.
+        ``estimates`` is ``None`` unless ``allow_estimate``. The
+        provenance is the ``(epoch, *versions)`` stamp if ``stamped``,
+        else the receipt ``{"epoch": e, "versions": {shard: v}}`` —
+        both taken from this pass's own shard map and replica sets, so
+        a flip after the read cannot pair one layout's epoch with
+        another's shard count.
         """
         # route: [(shard, query indices, local lows, local highs)]
         per_shard = shardmap.split_boxes(lows, highs)
@@ -491,17 +530,14 @@ class CubeCluster:
                 out = self._fill_estimates(
                     out, degraded, estimates, shardmap.epoch
                 )
-        result: Tuple = (out,)
-        if estimates is not None:
-            result = result + (estimates,)
-        if return_shard_versions:
-            result = result + (
-                {
-                    "epoch": shardmap.epoch,
-                    "versions": shard_versions,
-                },
-            )
-        return result[0] if len(result) == 1 else result
+        if stamped:
+            vector = [rs.last_acked for rs in replica_sets]
+            for shard, version in shard_versions.items():
+                vector[shard] = version
+            return out, estimates, (shardmap.epoch, *vector)
+        return out, estimates, {
+            "epoch": shardmap.epoch, "versions": shard_versions,
+        }
 
     def _fill_estimates(
         self,
@@ -593,7 +629,10 @@ class CubeCluster:
         failure the call raises :class:`ClusterUnavailableError` whose
         ``acked`` attribute carries the shards that *did* commit — a
         cross-shard group is atomic per shard, not globally, and the
-        error hands the caller exactly what it needs to reconcile.
+        error hands the caller exactly what it needs to reconcile. A
+        spent ``deadline`` raises its subclass
+        :class:`~repro.errors.ClusterDeadlineExceededError`, which is
+        also a :class:`~repro.errors.DeadlineExceededError`.
 
         The whole call holds the topology lock, so it strictly orders
         against epoch flips: a group routes and acks entirely under one
@@ -613,7 +652,7 @@ class CubeCluster:
                     )
                 except DeadlineExceededError as error:
                     self.metrics.inc(deadline_exceeded=1)
-                    raise ClusterUnavailableError(
+                    raise ClusterDeadlineExceededError(
                         f"deadline expired before shard {shard} acked: "
                         f"{error}",
                         acked=acked,

@@ -119,6 +119,16 @@ class ClusterUnavailableError(ClusterError):
         self.acked = dict(acked or {})
 
 
+class ClusterDeadlineExceededError(ClusterUnavailableError, DeadlineExceededError):
+    """A cluster write's budget ran out before every shard acked.
+
+    It is both errors at once: a :class:`DeadlineExceededError`, as
+    every layer raises for a spent budget, and a
+    :class:`ClusterUnavailableError` whose ``acked`` names the shards
+    that did commit, so a writer can reconcile the partial group.
+    """
+
+
 class NodeUnavailableError(ClusterError):
     """A single serving node could not be reached (dead, partitioned,
     or circuit-broken); the caller should try another replica."""

@@ -6,7 +6,8 @@ query surfaces the library already has — a
 :class:`~repro.serve.CubeService`, a
 :class:`~repro.cluster.CubeCluster`, or a
 :class:`~repro.routing.QueryRouter` — without those layers knowing a
-socket exists.
+socket exists. All three speak one backend protocol, so the server
+calls them directly, with no adapter in between.
 
 Design rules, in order of importance:
 
@@ -54,59 +55,9 @@ from repro.net.protocol import (
     error_payload,
     read_frame,
 )
-from repro.routing.router import QueryRouter, wrap_backend
 
 #: queries per chunk frame on the streaming endpoint
 DEFAULT_STREAM_CHUNK = 256
-
-
-class _RouterAdapter:
-    """Expose a :class:`QueryRouter` through the backend protocol the
-    server speaks (the router is itself a front for a backend, so it
-    needs this thin shim rather than :func:`wrap_backend`)."""
-
-    def __init__(self, router: QueryRouter) -> None:
-        self.router = router
-        self.shape = router.shape
-
-    def current_stamp(self):
-        return self.router.backend.current_stamp()
-
-    def query_many(self, lows, highs, deadline=None):
-        batch = self.router.route_many(lows, highs, deadline=deadline)
-        stamps = batch.stamps
-        if stamps and all(s == stamps[0] for s in stamps):
-            return batch.values, stamps[0]
-        return batch.values, list(stamps)
-
-    def query_many_estimated(self, lows, highs, deadline=None):
-        batch = self.router.route_many(
-            lows, highs, deadline=deadline, allow_estimate=True
-        )
-        stamps = batch.stamps
-        stamp = (
-            stamps[0]
-            if stamps and all(s == stamps[0] for s in stamps)
-            else list(stamps)
-        )
-        return batch.values, list(batch.estimates), stamp
-
-    def submit_batch(self, updates, *, timeout=None, deadline=None):
-        return self.router.submit_batch(
-            updates, timeout=timeout, deadline=deadline
-        )
-
-    def flush(self, timeout=None):
-        return self.router.flush(timeout=timeout)
-
-    def stats(self):
-        return self.router.stats()
-
-
-def _normalize_backend(backend):
-    if isinstance(backend, QueryRouter):
-        return _RouterAdapter(backend)
-    return wrap_backend(backend)
 
 
 def _stamp_json(stamp):
@@ -165,10 +116,13 @@ class CubeServer:
     """Serve a cube backend over TCP.
 
     Args:
-        backend: a :class:`~repro.serve.CubeService`,
-            :class:`~repro.cluster.CubeCluster`,
-            :class:`~repro.routing.QueryRouter`, or any object speaking
-            the router's backend protocol.
+        backend: anything that speaks the backend protocol (see
+            :mod:`repro.routing.router`) — a
+            :class:`~repro.serve.CubeService`, a
+            :class:`~repro.cluster.CubeCluster`, or a
+            :class:`~repro.routing.QueryRouter` stacked on either, as in
+            ``CubeServer(QueryRouter(cluster))``. The server holds it
+            as is and reads ``self.backend`` on every request.
         host/port: bind address; port 0 picks a free port (read
             :attr:`port` after :meth:`start`).
         authenticator: per-tenant token auth and quotas; ``None`` runs
@@ -197,7 +151,7 @@ class CubeServer:
         executor_workers: int = 8,
         metrics: Optional[NetMetrics] = None,
     ) -> None:
-        self.backend = _normalize_backend(backend)
+        self.backend = backend
         self._host = host
         self._port = int(port)
         self.authenticator = authenticator

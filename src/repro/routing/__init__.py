@@ -14,12 +14,9 @@ from repro.routing.cache import HIT, MISS, STALE, ResultCache
 from repro.routing.router import (
     TIER_CACHE,
     TIER_RPS,
-    ClusterBackend,
     QueryRouter,
     RoutedBatch,
-    ServiceBackend,
     TierMetrics,
-    wrap_backend,
 )
 
 __all__ = [
@@ -28,11 +25,8 @@ __all__ = [
     "STALE",
     "TIER_CACHE",
     "TIER_RPS",
-    "ClusterBackend",
     "QueryRouter",
     "ResultCache",
     "RoutedBatch",
-    "ServiceBackend",
     "TierMetrics",
-    "wrap_backend",
 ]

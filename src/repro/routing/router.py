@@ -14,6 +14,12 @@ the cheapest tier that can answer it **exactly**:
 2. **RPS** — the backend itself, which answers any box, aligned or
    not, with a fixed handful of cell reads per corner.
 
+The router consumes and speaks one backend protocol — ``shape``,
+``current_stamp()``, ``query_many(lows, highs, deadline)`` returning
+``(values, stamp)``, ``submit_batch``, ``flush``, ``stats``, and the
+optional ``query_many_estimated`` — which the service and the cluster
+implement natively, so no adapter sits between the layers.
+
 The correctness contract — the one the property suite enforces — is
 that every answer is stamped with the snapshot version(s) it was
 computed from, and **the value always equals the single-snapshot oracle
@@ -99,9 +105,9 @@ class RoutedBatch:
     @classmethod
     def uniform(cls, values, stamp, tier) -> "RoutedBatch":
         """An exact batch one tier answered at one stamp (a batch-memo
-        hit). Its per-query tuples are built on first read, so a caller
-        that wants only the values (:meth:`QueryRouter.range_sum_many`)
-        never pays for them."""
+        hit, or one backend read of every box). Its per-query tuples are
+        built on first read, so a caller that wants only the values
+        (:meth:`QueryRouter.range_sum_many`) never pays for them."""
         batch = cls.__new__(cls)
         batch.values = values
         batch._stamps = batch._tiers = batch._estimates = None
@@ -113,6 +119,17 @@ class RoutedBatch:
         if self._stamps is None:
             self._stamps = (self._source[0],) * len(self.values)
         return self._stamps
+
+    @property
+    def stamp(self):
+        """The one stamp every query shares, else the per-query list.
+        A uniform batch answers without scanning its slots."""
+        if self._source is not None:
+            return self._source[0]
+        stamps = self.stamps
+        if stamps and all(s == stamps[0] for s in stamps):
+            return stamps[0]
+        return list(stamps)
 
     @property
     def tiers(self) -> tuple:
@@ -134,128 +151,19 @@ class RoutedBatch:
 
 
 class ServiceBackend:
-    """Adapts one :class:`~repro.serve.CubeService` to the router.
+    """A transparent forwarder to one :class:`~repro.serve.CubeService`.
 
-    The stamp is the service's snapshot version (applied update
-    groups): an ``int`` that the double-buffered writer bumps atomically
-    with every publish — exactly the handoff the cache keys on.
+    A service already speaks the backend protocol, so the router needs
+    no adapter; this wrapper only keeps a ``service`` attribute that a
+    caller may swap (a timing proxy, say). Every other attribute is
+    read from ``self.service`` on each access.
     """
 
     def __init__(self, service) -> None:
         self.service = service
-        self.shape = service.shape
 
-    def current_stamp(self) -> int:
-        return self.service.version
-
-    def query_many(
-        self, lows, highs, deadline: Optional[Deadline] = None
-    ) -> Tuple[np.ndarray, int]:
-        if deadline is not None:
-            deadline.check("routed read")
-        return self.service.query_many(lows, highs)
-
-    def submit_batch(
-        self,
-        updates,
-        *,
-        timeout: Optional[float] = None,
-        deadline: Optional[Deadline] = None,
-    ):
-        if deadline is not None:
-            timeout = deadline.bound(timeout)
-        return self.service.submit_batch(updates, timeout=timeout)
-
-    def flush(self, timeout: Optional[float] = None):
-        return self.service.flush(timeout=timeout)
-
-    def stats(self) -> Dict:
-        return self.service.stats()
-
-
-class ClusterBackend:
-    """Adapts one :class:`~repro.cluster.CubeCluster` to the router.
-
-    The stamp is ``(epoch, *version_vector)``: the shard-map epoch
-    followed by the per-shard version vector. A batched read answers
-    each involved shard from one snapshot; the returned stamp records
-    that observed version per involved shard and the last acked version
-    for the rest, so a query's stamped entry is exact for every shard
-    the query actually touches. The epoch prefix fences every cached
-    answer to the layout it was read under — after a live reshard flips
-    the map, no entry stamped under the old epoch can ever match again,
-    even if the per-shard numbers coincide.
-    """
-
-    def __init__(self, cluster) -> None:
-        self.cluster = cluster
-        self.shape = cluster.shape
-
-    def current_stamp(self) -> Tuple[int, ...]:
-        stamp = getattr(self.cluster, "stamp", None)
-        if stamp is not None:
-            return stamp()
-        return (0, *self.cluster.version_vector())
-
-    def _stamp_from_receipt(self, receipt) -> Tuple[int, ...]:
-        """Fold a read receipt's observed versions into the live
-        vector, under the receipt's epoch."""
-        epoch = receipt["epoch"]
-        _, *vector = self.current_stamp()
-        for shard, version in receipt["versions"].items():
-            if shard < len(vector):
-                vector[shard] = version
-        return (epoch, *vector)
-
-    def query_many(
-        self, lows, highs, deadline: Optional[Deadline] = None
-    ) -> Tuple[np.ndarray, Tuple[int, ...]]:
-        values, receipt = self.cluster.range_sum_many(
-            lows, highs, deadline=deadline, return_shard_versions=True
-        )
-        return values, self._stamp_from_receipt(receipt)
-
-    def query_many_estimated(
-        self, lows, highs, deadline: Optional[Deadline] = None
-    ):
-        """Batched read that may answer degraded shards from aggregates.
-
-        Returns ``(values, estimates, stamp)`` where ``estimates[i]``
-        is a :class:`~repro.cluster.degraded.RangeEstimate` when slot
-        ``i`` is degraded, else ``None``.
-        """
-        values, estimates, receipt = self.cluster.range_sum_many(
-            lows, highs, deadline=deadline,
-            allow_estimate=True, return_shard_versions=True,
-        )
-        return values, estimates, self._stamp_from_receipt(receipt)
-
-    def submit_batch(
-        self,
-        updates,
-        *,
-        timeout: Optional[float] = None,
-        deadline: Optional[Deadline] = None,
-    ):
-        return self.cluster.submit_batch(
-            updates, timeout=timeout, deadline=deadline
-        )
-
-    def flush(self, timeout: Optional[float] = None):
-        return self.cluster.flush(timeout=timeout)
-
-    def stats(self) -> Dict:
-        return self.cluster.stats()
-
-
-def wrap_backend(backend):
-    """Coerce a service/cluster (or a ready adapter) to the backend
-    protocol the router speaks."""
-    if hasattr(backend, "current_stamp"):
-        return backend
-    if hasattr(backend, "version_vector") or hasattr(backend, "shardmap"):
-        return ClusterBackend(backend)
-    return ServiceBackend(backend)
+    def __getattr__(self, name):
+        return getattr(self.service, name)
 
 
 class TierMetrics(MetricsRegistry):
@@ -299,12 +207,17 @@ class QueryRouter:
     """Route each box query cache -> RPS, exactly.
 
     Args:
-        backend: a :class:`~repro.serve.CubeService`,
-            :class:`~repro.cluster.CubeCluster`, or backend adapter.
-        enable_cache: serve/populate the memoized result tier.
+        backend: anything that speaks the backend protocol — ``shape``,
+            ``current_stamp()``, ``query_many(lows, highs, deadline)``
+            returning ``(values, stamp)``, ``submit_batch``, ``flush``
+            and ``stats``, plus the optional ``query_many_estimated``.
+            :class:`~repro.serve.CubeService`,
+            :class:`~repro.cluster.CubeCluster` and ``QueryRouter``
+            itself all speak it natively, so layers stack directly:
+            ``CubeServer(QueryRouter(cluster))``. The router reads
+            ``self.backend`` on every call, so it may be replaced.
         cache: a pre-built :class:`~repro.routing.cache.ResultCache`
             (defaults to 64 MiB / 64 Ki entries).
-        metrics: a shared :class:`TierMetrics`.
 
     Use as a context manager or call :meth:`close` (the backing
     service/cluster has its own lifecycle and is *not* closed)::
@@ -316,17 +229,11 @@ class QueryRouter:
     """
 
     def __init__(
-        self,
-        backend,
-        *,
-        enable_cache: bool = True,
-        cache: Optional[ResultCache] = None,
-        metrics: Optional[TierMetrics] = None,
+        self, backend, *, cache: Optional[ResultCache] = None
     ) -> None:
-        self.backend = wrap_backend(backend)
-        self.shape = self.backend.shape
-        self.metrics = metrics if metrics is not None else TierMetrics()
-        self.enable_cache = bool(enable_cache)
+        self.backend = backend
+        self.shape = backend.shape
+        self.metrics = TierMetrics()
         # explicit None checks: an *empty* ResultCache is falsy (len 0),
         # so ``cache or ResultCache()`` would silently drop an injected
         # empty cache
@@ -346,7 +253,7 @@ class QueryRouter:
         exact tier; returns values with per-query stamps and tiers.
 
         With ``allow_estimate=True`` (and a backend that supports it —
-        cluster backends do), queries over unreachable shards come back
+        clusters do), queries over unreachable shards come back
         as explicit bounded estimates in ``RoutedBatch.estimates``
         instead of failing the batch. Estimated values are **never**
         written to the cache tiers: only exact, stamped answers are
@@ -360,9 +267,7 @@ class QueryRouter:
         # is validated: every memo key was made from a normalized batch,
         # so a page whose bytes match one *is* that validated batch, and
         # only a miss pays for validation
-        prevalidated = self.enable_cache and _is_row_batch(
-            lows, highs, len(self.shape)
-        )
+        prevalidated = _is_row_batch(lows, highs, len(self.shape))
         if not prevalidated:
             lows, highs = indexing.normalize_range_batch(
                 lows, highs, self.shape
@@ -373,7 +278,7 @@ class QueryRouter:
         # tier 1a: the whole-batch memo — a repeated dashboard page is
         # one lookup keyed by the batch bytes and the snapshot version
         batch_key = None
-        if self.enable_cache and q:
+        if q:
             batch_key = ("batch", lows.tobytes(), highs.tobytes())
             status, value = self.cache.get(batch_key, stamp)
             if status is HIT:
@@ -394,7 +299,7 @@ class QueryRouter:
         # cache tier
         hit_slots: list = []
         hit_values: list = []
-        use_box_cache = self.enable_cache and q <= PER_BOX_CACHE_MAX_BATCH
+        use_box_cache = q <= PER_BOX_CACHE_MAX_BATCH
 
         # tier 1b: per-box memoized results (small interactive batches —
         # large pages are the batch memo's job)
@@ -457,43 +362,74 @@ class QueryRouter:
                     key = ("box", lows[slot].tobytes(), highs[slot].tobytes())
                     self.cache.put(key, backend_stamp, value)
 
-        # assemble the batch: one vectorized scatter per tier
-        sources = [] if rps_values is None else [rps_values]
-        if hit_slots:
-            hit_values = np.asarray(hit_values)
-            sources.append(hit_values)
-        dtype = np.result_type(*sources) if sources else np.float64
-        out = np.empty(q, dtype=dtype)
-        stamps = np.empty(q, dtype=object)
-        tiers = np.empty(q, dtype=object)
-        if rps_values is not None:
-            out[pending] = rps_values
-            tiers[pending] = TIER_RPS
-            _assign_object(stamps, pending, backend_stamp)
-        if hit_slots:
-            hit_idx = np.asarray(hit_slots, dtype=np.intp)
-            out[hit_idx] = hit_values
-            tiers[hit_idx] = TIER_CACHE
-            _assign_object(stamps, hit_idx, stamp)
-
-        estimates = None
-        if box_estimates is not None:
-            estimates = [None] * q
-            for j, slot in enumerate(pending):
-                estimates[int(slot)] = box_estimates[j]
-
-        # memoize the whole batch when one snapshot answered everything
-        # — and no slot was estimated (degraded answers never enter any
-        # cache tier); every slot carries its tier's stamp, so the two
-        # tier stamps decide it without a per-slot pass
-        if batch_key is not None and estimates is None:
+        if not hit_slots and box_estimates is None:
+            # one exact backend read (or an empty batch) answered every
+            # slot: no per-slot assembly, one stamp for the whole batch
             if rps_values is None:
+                rps_values, backend_stamp = np.empty(0), stamp
+            if batch_key is not None:
+                self.cache.put(batch_key, backend_stamp, rps_values)
+            batch = RoutedBatch.uniform(rps_values, backend_stamp, TIER_RPS)
+        else:
+            # a mixed batch: one vectorized scatter per tier
+            sources = [] if rps_values is None else [rps_values]
+            if hit_slots:
+                hit_values = np.asarray(hit_values)
+                sources.append(hit_values)
+            out = np.empty(q, dtype=np.result_type(*sources))
+            stamps = np.empty(q, dtype=object)
+            tiers = np.empty(q, dtype=object)
+            if rps_values is not None:
+                out[pending] = rps_values
+                tiers[pending] = TIER_RPS
+                _assign_object(stamps, pending, backend_stamp)
+            if hit_slots:
+                hit_idx = np.asarray(hit_slots, dtype=np.intp)
+                out[hit_idx] = hit_values
+                tiers[hit_idx] = TIER_CACHE
+                _assign_object(stamps, hit_idx, stamp)
+
+            estimates = None
+            if box_estimates is not None:
+                estimates = [None] * q
+                for j, slot in enumerate(pending):
+                    estimates[int(slot)] = box_estimates[j]
+            # memoize the whole batch when one snapshot answered
+            # everything and no slot was estimated (degraded answers
+            # never enter any cache tier); every slot carries its tier's
+            # stamp, so the two tier stamps decide it without a per-slot
+            # pass
+            if estimates is None and (
+                rps_values is None or backend_stamp == stamp
+            ):
                 self.cache.put(batch_key, stamp, out)
-            elif not hit_slots or backend_stamp == stamp:
-                self.cache.put(batch_key, backend_stamp, out)
+            batch = RoutedBatch(
+                out, stamps.tolist(), tiers.tolist(), estimates
+            )
         self.metrics.inc(queries_routed=q)
         self.metrics.observe("route_latency", time.perf_counter() - start)
-        return RoutedBatch(out, stamps.tolist(), tiers.tolist(), estimates)
+        return batch
+
+    # -- the backend protocol, so a router stacks like any backend ----------
+
+    def current_stamp(self):
+        return self.backend.current_stamp()
+
+    def query_many(self, lows, highs, deadline: Optional[Deadline] = None):
+        """Routed ``(values, stamp)``: one stamp when one answered the
+        whole batch, else the per-query list of stamps."""
+        batch = self.route_many(lows, highs, deadline=deadline)
+        return batch.values, batch.stamp
+
+    def query_many_estimated(
+        self, lows, highs, deadline: Optional[Deadline] = None
+    ):
+        """Routed ``(values, estimates, stamp)``; see :meth:`query_many`
+        for the stamp and :meth:`route_many` for the estimates."""
+        batch = self.route_many(
+            lows, highs, deadline=deadline, allow_estimate=True
+        )
+        return batch.values, list(batch.estimates), batch.stamp
 
     def range_sum_many(
         self,
@@ -581,6 +517,4 @@ class QueryRouter:
         self.close()
 
     def __repr__(self) -> str:
-        return (
-            f"QueryRouter(shape={self.shape}, cache={self.enable_cache})"
-        )
+        return f"QueryRouter(shape={self.shape}, entries={len(self.cache)})"

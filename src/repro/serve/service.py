@@ -294,14 +294,18 @@ class CubeService:
         return result, version
 
     def query_many(
-        self, lows, highs
+        self, lows, highs, deadline: Optional[Deadline] = None
     ) -> Tuple[np.ndarray, int]:
         """Batched range sums plus the snapshot version that served them.
 
         The whole batch is answered by one snapshot — results are
         mutually consistent, and ``version`` names the exact logical
-        state (number of update groups applied).
+        state (number of update groups applied). An expired
+        ``deadline`` raises
+        :class:`~repro.errors.DeadlineExceededError` before the read.
         """
+        if deadline is not None:
+            deadline.check("query_many")
         return self._counted_read(
             lambda m: m.range_sum_many(lows, highs), batch=True
         )
@@ -338,6 +342,11 @@ class CubeService:
         with self._state_lock:
             return self._front.version
 
+    def current_stamp(self) -> int:
+        """The backend-protocol stamp: :attr:`version`, the ``int`` the
+        double-buffered writer bumps atomically with every publish."""
+        return self.version
+
     @property
     def last_submitted_seq(self) -> int:
         """Sequence number of the newest submitted group (0 if none).
@@ -365,6 +374,7 @@ class CubeService:
         updates: Iterable[Tuple[Sequence[int], object]],
         *,
         timeout: Optional[float] = None,
+        deadline: Optional[Deadline] = None,
     ) -> int:
         """Queue one atomic group of ``(index, delta)`` updates.
 
@@ -385,10 +395,16 @@ class CubeService:
                 long to wait for backlog space before raising
                 :class:`~repro.errors.ServiceOverloadedError`; ``None``
                 waits indefinitely.
+            deadline: the caller's budget; an expired one raises
+                :class:`~repro.errors.DeadlineExceededError` before
+                anything is queued, a live one bounds ``timeout``.
         """
+        if deadline is not None:
+            deadline.check("submit_batch")
+            timeout = deadline.bound(timeout)
         group = UpdateGroup.of(updates, len(self.shape))
         indices, deltas = group.cells, group.deltas
-        deadline = (
+        give_up_at = (
             None if timeout is None else time.monotonic() + timeout
         )
         with self._state_lock:
@@ -407,8 +423,8 @@ class CubeService:
                 if self._max_pending is None or pending < self._max_pending:
                     break
                 remaining = (
-                    None if deadline is None
-                    else deadline - time.monotonic()
+                    None if give_up_at is None
+                    else give_up_at - time.monotonic()
                 )
                 if remaining is not None and remaining <= 0:
                     raise ServiceOverloadedError(

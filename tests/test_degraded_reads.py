@@ -29,7 +29,6 @@ from repro.cluster import (
 from repro.cluster.shardmap import ShardMap
 from repro.errors import ClusterError, ClusterUnavailableError
 from repro.faults import FaultPlan
-from repro.routing import ClusterBackend
 
 from .conftest import brute_range_sum, random_range
 
@@ -274,7 +273,7 @@ class TestRouterDegradedReads:
         oracle = cube.astype(np.float64)
         plan = FaultPlan(seed=5)
         with make_cluster(tmp_path, cube, fault_plan=plan) as cluster:
-            router = QueryRouter(ClusterBackend(cluster))
+            router = QueryRouter(cluster)
             kill_shard(plan, 1)
             low, high = (4, 1), (20, 8)  # spans the dead shard
             truth = brute_range_sum(oracle, low, high)
@@ -293,7 +292,7 @@ class TestRouterDegradedReads:
         cube = make_cube(rng)
         plan = FaultPlan(seed=5)
         with make_cluster(tmp_path, cube, fault_plan=plan) as cluster:
-            router = QueryRouter(ClusterBackend(cluster))
+            router = QueryRouter(cluster)
             kill_shard(plan, 1)
             dead_box = ((4, 1), (20, 8))
             live_box = ((0, 0), (6, 9))  # shard 0 only
@@ -320,7 +319,7 @@ class TestRouterDegradedReads:
         cube = make_cube(rng)
         plan = FaultPlan(seed=5)
         with make_cluster(tmp_path, cube, fault_plan=plan) as cluster:
-            router = QueryRouter(ClusterBackend(cluster))
+            router = QueryRouter(cluster)
             kill_shard(plan, 1)
             with pytest.raises(ClusterUnavailableError):
                 router.range_sum_many([(4, 1)], [(20, 8)])
@@ -332,7 +331,7 @@ class TestNetDegradedReads:
         oracle = cube.astype(np.float64)
         plan = FaultPlan(seed=5)
         with make_cluster(tmp_path, cube, fault_plan=plan) as cluster:
-            router = QueryRouter(ClusterBackend(cluster))
+            router = QueryRouter(cluster)
             with CubeServer(router, port=0) as server:
                 host, port = server.address
 

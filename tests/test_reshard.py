@@ -16,6 +16,7 @@ from repro import RelativePrefixSumCube
 from repro.cluster.reshard import PHASES
 from repro.errors import ClusterError
 from repro.faults import FaultPlan, InjectedFault
+from repro.routing import QueryRouter
 
 from .conftest import brute_range_sum, random_range
 
@@ -192,13 +193,42 @@ class TestLiveSplit:
     def test_stamp_is_epoch_prefixed_and_atomic(self, tmp_path, rng):
         cube = make_cube(rng)
         with make_cluster(tmp_path, cube) as cluster:
-            assert cluster.stamp() == (0, 0, 0)
+            assert cluster.current_stamp() == (0, 0, 0)
             cluster.submit_batch([((0, 0), 1.0)])
-            assert cluster.stamp()[0] == 0
+            assert cluster.current_stamp()[0] == 0
             cluster.split_shard(1)
-            stamp = cluster.stamp()
+            stamp = cluster.current_stamp()
             assert stamp[0] == 1
             assert len(stamp) == 1 + cluster.shardmap.num_shards
+
+    def test_read_stamp_survives_a_flip_after_the_read(
+        self, tmp_path, rng, monkeypatch
+    ):
+        """A split that flips after a routed read's shard reads but
+        before its stamp is taken must not pair the read's epoch with
+        the new layout's version vector."""
+        cube = make_cube(rng)
+        with make_cluster(tmp_path, cube) as cluster:
+            shards_at = {cluster.epoch: cluster.shardmap.num_shards}
+            replica_set = cluster.replica_sets[0]
+            read = replica_set.range_sum_many
+
+            def read_then_split(*args, **kwargs):
+                result = read(*args, **kwargs)
+                if len(shards_at) == 1:
+                    cluster.split_shard(0)
+                    shards_at[cluster.epoch] = cluster.shardmap.num_shards
+                return result
+
+            monkeypatch.setattr(
+                replica_set, "range_sum_many", read_then_split
+            )
+            with QueryRouter(cluster) as router:
+                batch = router.route_many([(0, 0)], [(23, 9)])
+            assert shards_at == {0: 2, 1: 3}
+            stamp = batch.stamps[0]
+            assert len(stamp) == 1 + shards_at[stamp[0]]
+            assert batch.values[0] == cube.sum()
 
 
 class TestRollback:

@@ -30,7 +30,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.rps import RelativePrefixSumCube
 from repro.routing import QueryRouter, ResultCache
-from repro.routing.router import ServiceBackend
 from repro.serve import CubeService
 from repro.testing import VersionOracle
 
@@ -132,7 +131,7 @@ def run_program(
     cube = rng.integers(0, 50, shape).astype(np.float64)
     harness = RouterHarness(cube)
     with CubeService(RelativePrefixSumCube, cube) as service:
-        backend = ServiceBackend(service)
+        backend = service
         if backend_wrap is not None:
             backend = backend_wrap(backend)
         with QueryRouter(backend, cache=cache_cls()) as router:

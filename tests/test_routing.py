@@ -5,8 +5,8 @@ stamped snapshot version across randomized interleavings — lives in
 ``test_router_properties.py`` and ``test_router_differential.py``; this
 file pins the component contracts those suites build on: cache
 hit/miss/stale semantics and eviction, the batch memo's fast path,
-deadline propagation, the cache switch, and a router that owns no
-thread.
+deadline propagation, a router that owns no thread, and the one
+backend protocol that service, cluster and router all speak.
 """
 
 import threading
@@ -18,14 +18,13 @@ from repro.core import indexing
 from repro.deadline import Deadline
 from repro.errors import DeadlineExceededError, DimensionError, RangeError
 from repro.core.rps import RelativePrefixSumCube
+from repro.cluster import CubeCluster
 from repro.routing import (
     HIT,
     MISS,
     STALE,
     QueryRouter,
     ResultCache,
-    ServiceBackend,
-    wrap_backend,
 )
 from repro.routing.router import PER_BOX_CACHE_MAX_BATCH
 from repro.serve import CubeService
@@ -186,17 +185,6 @@ class TestQueryRouter:
         assert snap["batch_stale_rejects"] >= 1
         assert snap["cache_stale_rejects"] >= 1
 
-    def test_enable_cache_false_never_caches(self):
-        cube = np.ones((8, 8))
-        with CubeService(RelativePrefixSumCube, cube) as service:
-            with QueryRouter(service, enable_cache=False) as router:
-                for _ in range(3):
-                    batch = router.route_many(
-                        np.array([[0, 0]]), np.array([[7, 7]])
-                    )
-                    assert batch.tiers == ("rps",)
-                assert len(router.cache) == 0
-
     def test_large_batches_skip_per_box_cache(self):
         q = PER_BOX_CACHE_MAX_BATCH + 1
         cube = np.ones((q, 2))
@@ -239,15 +227,6 @@ class TestQueryRouter:
         assert set(stats) == {"router", "cache", "backend"}
         assert stats["router"]["queries_routed"] == 1
         assert "version" in stats["backend"]
-
-    def test_wrap_backend_detection(self):
-        cube = np.ones((8, 8))
-        with CubeService(RelativePrefixSumCube, cube) as service:
-            adapted = wrap_backend(service)
-            assert isinstance(adapted, ServiceBackend)
-            assert wrap_backend(adapted) is adapted
-        stub = _StubBackend(cube)
-        assert wrap_backend(stub) is stub
 
     def test_concurrent_routed_reads_are_exact(self):
         rng = np.random.default_rng(17)
@@ -371,3 +350,60 @@ class TestBatchMemoFastPath:
         with pytest.raises(DimensionError):
             router.route_many(lows.reshape(2, 3), highs.reshape(2, 3))
         assert router.metrics.snapshot()["batch_hits"] == 0
+
+
+# -- the backend protocol ------------------------------------------------
+
+
+@pytest.fixture(
+    params=["service", "cluster", "router->service", "router->cluster"]
+)
+def backend_stack(request, tmp_path):
+    """``(name, backend)``: each stack that speaks the backend protocol,
+    composed directly, layer on layer, with no adapter."""
+    cube = np.arange(96, dtype=np.int64).reshape(12, 8)
+    name = request.param
+    if name.endswith("service"):
+        base = CubeService(RelativePrefixSumCube, cube)
+    else:
+        base = CubeCluster(
+            RelativePrefixSumCube, cube, data_dir=tmp_path,
+            num_shards=2, replication_factor=2,
+        )
+    with base:
+        if name.startswith("router"):
+            with QueryRouter(base) as router:
+                yield name, router
+        else:
+            yield name, base
+
+
+class TestBackendProtocol:
+    def test_flushed_read_is_stamped_with_the_current_stamp(
+        self, backend_stack
+    ):
+        name, backend = backend_stack
+        assert backend.shape == (12, 8)
+        lows, highs = np.array([[0, 0], [3, 2]]), np.array([[11, 7], [9, 5]])
+        backend.submit_batch([((4, 4), 5), ((10, 1), 7)])
+        backend.flush()
+        for _ in range(2):  # a router's second read is a cache hit
+            values, stamp = backend.query_many(lows, highs)
+            assert stamp == backend.current_stamp()
+            # sum(0..95) + 5 + 7, and the (4, 4) delta in the second box
+            assert np.asarray(values).tolist() == [4560 + 12, 1442 + 5]
+        assert isinstance(backend.stats(), dict)
+        assert hasattr(backend, "query_many_estimated") == (
+            name != "service"
+        )
+
+    def test_expired_deadline_raises_on_read_and_write(self, backend_stack):
+        _, backend = backend_stack
+        with pytest.raises(DeadlineExceededError):
+            backend.query_many(
+                [[0, 0]], [[3, 3]], deadline=Deadline.after(0.0)
+            )
+        with pytest.raises(DeadlineExceededError):
+            backend.submit_batch(
+                [((0, 0), 1)], deadline=Deadline.after(0.0)
+            )

@@ -21,7 +21,6 @@ from repro.cube.encoders import IntegerEncoder
 from repro.cube.schema import CubeSchema, Dimension
 from repro.ingest import IngestPipeline, MemorySource, ServiceTarget
 from repro.net import CubeClient
-from repro.routing import ServiceBackend
 
 SUMMARY = {
     "count", "mean_s", "p50_s", "p95_s", "p99_s", "min_s", "max_s", "total_s",
@@ -95,7 +94,7 @@ def test_cluster_metrics_keys(tmp_path):
 
 def test_router_metrics_keys():
     with CubeService(RelativePrefixSumCube, np.zeros((4, 4))) as svc:
-        router = QueryRouter(ServiceBackend(svc))
+        router = QueryRouter(svc)
         try:
             router.range_sum_many(np.array([[0, 0]]), np.array([[3, 3]]))
             snapshot = router.metrics.snapshot()

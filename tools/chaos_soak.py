@@ -84,7 +84,6 @@ from repro.cluster import BreakerPolicy, CubeCluster
 from repro.core.rps import RelativePrefixSumCube
 from repro.faults import InjectedFault
 from repro.routing import QueryRouter
-from repro.routing.router import ServiceBackend
 from repro.serve import recover_state
 from repro.testing import VersionOracle, assert_recovery_correct
 from repro.workloads import ClusterWorkloadRunner, random_group, random_ranges
@@ -353,7 +352,7 @@ def _run_router(rng, params, state_dir):
     faults_seen = []
     stop = threading.Event()
     service = _service(params, cube, state_dir)
-    backend = _ReadFaultBackend(ServiceBackend(service))
+    backend = _ReadFaultBackend(service)
     try:
         with QueryRouter(backend) as router:
 
