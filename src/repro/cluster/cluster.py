@@ -623,6 +623,8 @@ class CubeCluster:
     ) -> Dict[int, int]:
         """Route one group of ``(cell, delta)`` updates to its shards.
 
+        ``updates`` (an ``UpdateGroup`` or pairs) is converted once and
+        checked whole: a bad cell raises before any shard is touched.
         Each involved shard receives its cells as one atomic local group
         (durably acked by that shard's primary before the next shard is
         touched). Returns ``{shard: acked sequence number}``. On a shard
@@ -642,7 +644,7 @@ class CubeCluster:
         both the old and the new primary hold the group durably.
         """
         with self._topology:
-            grouped = self.shardmap.split_updates(list(updates))
+            grouped = self.shardmap.split_updates(updates)
             migration = self._migration
             acked: Dict[int, int] = {}
             for shard in sorted(grouped):

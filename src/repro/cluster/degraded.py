@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ClusterError
+from repro.serve.group import UpdateGroup
 
 #: relative padding applied to interval endpoints so float accumulation
 #: error can never push the true sum outside the guaranteed hull
@@ -129,7 +130,7 @@ class SlabSummary:
         self.block_sums = np.ascontiguousarray(sums)
         self.block_mass = np.ascontiguousarray(mass)
 
-    def apply(self, updates: Sequence[Tuple[Sequence[int], object]]) -> None:
+    def apply(self, group: UpdateGroup) -> None:
         """Fold one acknowledged local update group into the blocks.
 
         One ``searchsorted`` per axis and one unbuffered add per grid,
@@ -139,16 +140,11 @@ class SlabSummary:
         write ack. ``np.add.at`` adds in submission order, so the
         totals equal a cell-by-cell fold bit for bit.
         """
-        if not len(updates):
+        if not len(group):
             return
-        cells = np.array(
-            [cell for cell, _ in updates], dtype=np.intp
-        ).reshape(len(updates), len(self.shape))
-        deltas = np.array(
-            [float(delta) for _, delta in updates], dtype=np.float64
-        )
+        deltas = group.deltas.astype(np.float64)
         blocks = tuple(
-            np.searchsorted(edges, cells[:, axis], side="right") - 1
+            np.searchsorted(edges, group.cells[:, axis], side="right") - 1
             for axis, edges in enumerate(self.edges)
         )
         np.add.at(self.block_sums, blocks, deltas)
@@ -223,16 +219,12 @@ class ShardAggregates:
                     blocks_per_axis=self.blocks_per_axis,
                 )
 
-    def apply(
-        self,
-        shard: int,
-        updates: Sequence[Tuple[Sequence[int], object]],
-    ) -> None:
+    def apply(self, shard: int, group: UpdateGroup) -> None:
         """Fold one acked local group of ``shard`` into its summary."""
         with self._lock:
             summary = self._summaries.get(int(shard))
             if summary is not None:
-                summary.apply(updates)
+                summary.apply(group)
 
     def rebuild(self, per_shard_arrays: Dict[int, np.ndarray]) -> None:
         """Replace the summaries for a new topology, exactly.

@@ -120,16 +120,6 @@ class ClusterNode:
 
     # -- writes --------------------------------------------------------------
 
-    def submit_batch(
-        self,
-        updates: Sequence[Tuple[Sequence[int], object]],
-        *,
-        timeout: Optional[float] = None,
-    ) -> int:
-        """Queue one atomic local group; returns its sequence number."""
-        self.guard("write")
-        return self.service.submit_batch(updates, timeout=timeout)
-
     def flush(self, timeout: Optional[float] = None) -> int:
         self.guard("write")
         return self.service.flush(timeout=timeout)

@@ -54,9 +54,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.shardmap import ShardMap
+from repro.cluster.shardmap import ShardMap, localize, slab_rows
 from repro.errors import ClusterError, ReshardError, StorageError, WALError
 from repro.serve import wal as wal_mod
+from repro.serve.group import UpdateGroup
 
 #: the migration state machine, in order
 PHASES = (
@@ -106,7 +107,7 @@ class Migration:
         self.sources: List = []
         self.targets: List = []
         self.seed_versions: Dict[int, int] = {}
-        self.buffer: List[Tuple[int, int, list]] = []
+        self.buffer: List[Tuple[int, int, UpdateGroup]] = []
         self.failed: Optional[BaseException] = None
         self.rollback_unsafe = False
         self.scratch_dirs: List[str] = []
@@ -115,16 +116,14 @@ class Migration:
 
     # -- write-path hooks (caller holds the cluster topology lock) -----------
 
-    def on_write(self, cluster, shard_index, local_updates, seq) -> None:
+    def on_write(self, cluster, shard_index, group, seq) -> None:
         if self.mode == self.MODE_BUFFER:
             if shard_index in self.source_shards:
-                self.buffer.append(
-                    (int(shard_index), int(seq), list(local_updates))
-                )
+                self.buffer.append((int(shard_index), int(seq), group))
         elif self.mode == self.MODE_DUAL:
             if shard_index in self.source_shards:
                 try:
-                    self.mirror_to_targets(shard_index, local_updates)
+                    self.mirror_to_targets(shard_index, group)
                     cluster.metrics.inc(dual_writes=1)
                 except Exception as error:  # noqa: BLE001 - poisons the
                     # migration, never the client's (already durable) ack
@@ -132,68 +131,37 @@ class Migration:
         elif self.mode == self.MODE_REVERSE:
             if shard_index in self.target_new_indices:
                 try:
-                    self.mirror_to_sources(shard_index, local_updates)
+                    _, (start, _) = self.targets[
+                        self.target_new_indices.index(shard_index)
+                    ]
+                    self.mirror(group, start, self.sources)
                     cluster.metrics.inc(dual_writes=1)
                 except Exception:  # noqa: BLE001 - the old copy is now
                     # incomplete: rollback would lose this acked group
                     self.rollback_unsafe = True
 
-    def mirror_to_targets(self, source_shard, local_updates) -> None:
+    def mirror_to_targets(self, source_shard, group) -> None:
         """Re-route one source-local acked group into the target(s)."""
-        source_start = None
-        for (replica_set, (start, stop)), shard in zip(
-            self.sources, self.source_shards
-        ):
-            if shard == source_shard:
-                source_start = start
-                break
-        if source_start is None:
-            raise ClusterError(
-                f"shard {source_shard} is not a migration source"
-            )
-        grouped: Dict[int, list] = {}
-        for cell, delta in local_updates:
-            row = source_start + int(cell[0])
-            for idx, (_, (t_start, t_stop)) in enumerate(self.targets):
-                if t_start <= row < t_stop:
-                    grouped.setdefault(idx, []).append(
-                        (
-                            (row - t_start,)
-                            + tuple(int(c) for c in cell[1:]),
-                            delta,
-                        )
-                    )
-                    break
-            else:
-                raise ClusterError(
-                    f"row {row} falls outside every target slab"
-                )
-        for idx in sorted(grouped):
-            self.targets[idx][0].submit(grouped[idx])
+        _, (start, _) = self.sources[self.source_shards.index(source_shard)]
+        self.mirror(group, start, self.targets)
 
-    def mirror_to_sources(self, target_index, local_updates) -> None:
-        """Post-flip reverse mirror: target-local group back to sources."""
-        position = self.target_new_indices.index(int(target_index))
-        _, (t_start, _) = self.targets[position]
-        grouped: Dict[int, list] = {}
-        for cell, delta in local_updates:
-            row = t_start + int(cell[0])
-            for idx, (_, (s_start, s_stop)) in enumerate(self.sources):
-                if s_start <= row < s_stop:
-                    grouped.setdefault(idx, []).append(
-                        (
-                            (row - s_start,)
-                            + tuple(int(c) for c in cell[1:]),
-                            delta,
-                        )
-                    )
-                    break
-            else:
-                raise ClusterError(
-                    f"row {row} falls outside every source slab"
-                )
-        for idx in sorted(grouped):
-            self.sources[idx][0].submit(grouped[idx])
+    @staticmethod
+    def mirror(group, start: int, slabs) -> None:
+        """Re-route one acked group, local to the slab whose first row
+        is ``start``, into ``slabs`` — ascending, contiguous
+        ``(replica_set, (start, stop))`` pairs covering its rows — as
+        one local group per slab, each in submission order."""
+        rows = group.cells[:, 0] + start
+        outside = (rows < slabs[0][1][0]) | (rows >= slabs[-1][1][1])
+        if outside.any():
+            raise ClusterError(
+                f"row {int(rows[outside.argmax()])} falls outside every "
+                f"slab of {[bounds for _, bounds in slabs]}"
+            )
+        starts = np.array([first for _, (first, _) in slabs]) - start
+        for index, picked in slab_rows(group.cells, starts).items():
+            replica_set, _ = slabs[index]
+            replica_set.submit(localize(group, picked, starts[index]))
 
     def describe(self) -> Dict:
         return {
@@ -440,10 +408,10 @@ class ReshardCoordinator:
         cluster = self.cluster
 
         def apply(batch) -> None:
-            for shard, seq, updates in batch:
+            for shard, seq, group in batch:
                 if seq <= migration.seed_versions.get(shard, 0):
                     continue  # the seed's WAL replay already holds it
-                migration.mirror_to_targets(shard, updates)
+                migration.mirror_to_targets(shard, group)
 
         for _ in range(self.MAX_REPLAY_ROUNDS):
             with cluster._topology:

@@ -8,8 +8,10 @@ one contiguous block of the source array.
 
 A :class:`ShardMap` owns the routing math and nothing else:
 
-* **updates** — a cell belongs to exactly one shard
-  (:meth:`ShardMap.shard_of`, :meth:`ShardMap.split_updates`);
+* **updates** — a cell belongs to exactly one shard. Every write path
+  (:meth:`ShardMap.split_updates`, the reshard mirror, the ingest
+  cluster target) routes a whole group with :func:`slab_rows`, keeping
+  submission order within each shard;
 * **queries** — an inclusive query box may straddle shard boundaries;
   :meth:`ShardMap.split_boxes` cuts a whole ``(Q, d)`` batch of boxes
   into at most one *local* sub-box per box and shard, with array ops
@@ -19,7 +21,6 @@ A :class:`ShardMap` owns the routing math and nothing else:
   Because the slabs are disjoint and cover the axis, the exact sum over
   the original box equals the sum of the per-shard partial sums. No
   approximation anywhere — the split is pure index arithmetic.
-  :meth:`ShardMap.split_box` is the one-box call into the same split.
 
 Local coordinates: shard ``s`` owning rows ``[start, stop)`` of axis 0
 sees the global cell ``(c0, c1, ..)`` as ``(c0 - start, c1, ..)``; all
@@ -36,15 +37,14 @@ fenced to the exact layout it was computed under.
 
 from __future__ import annotations
 
-import bisect
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.indexing import normalize_range_batch
 from repro.errors import ClusterError, DimensionError, RangeError
+from repro.serve.group import UpdateGroup
 
-BoxSplit = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
 #: ``(shard, query_idx, local_lows, local_highs)``: the ascending batch
 #: rows that touch ``shard`` and their ``(k, d)`` local sub-boxes.
 BatchSplit = Tuple[int, np.ndarray, np.ndarray, np.ndarray]
@@ -205,29 +205,33 @@ class ShardMap:
 
     def shard_of(self, cell: Sequence[int]) -> int:
         """The shard owning ``cell`` (validates all coordinates)."""
-        if len(cell) != self.ndim:
-            raise RangeError(
-                f"cell {tuple(cell)} has {len(cell)} coordinates, cube "
-                f"has {self.ndim}"
-            )
-        for axis, (coord, size) in enumerate(zip(cell, self.shape)):
-            if not 0 <= int(coord) < size:
-                raise RangeError(
-                    f"cell {tuple(cell)} out of bounds on axis {axis} "
-                    f"(size {size})"
-                )
-        return bisect.bisect_right(self._starts, int(cell[0])) - 1
+        group = UpdateGroup.of([(cell, 0)], self.ndim)
+        (shard,) = self.rows_by_shard(group)
+        return shard
 
-    def to_local(self, shard: int, cell: Sequence[int]) -> Tuple[int, ...]:
-        """Translate a global cell into ``shard``'s local coordinates."""
-        start, stop = self.bounds[shard]
-        c0 = int(cell[0])
-        if not start <= c0 < stop:
-            raise ClusterError(
-                f"cell {tuple(cell)} is not in shard {shard} "
-                f"(rows [{start}, {stop}))"
+    def rows_by_shard(self, group: UpdateGroup) -> Dict[int, np.ndarray]:
+        """``{shard: ascending row indices}`` of a write group's cells
+        (:func:`slab_rows` on this map's slabs), after checking every
+        cell: nothing is routed unless the whole group fits the cube.
+
+        Raises:
+            RangeError: naming the first cell, in submission order, of
+                the wrong arity or out of bounds.
+        """
+        cells = group.cells
+        if len(cells) and cells.shape[1] != self.ndim:
+            raise RangeError(
+                f"cell {tuple(cells[0].tolist())} has {cells.shape[1]} "
+                f"coordinates, cube has {self.ndim}"
             )
-        return (c0 - start,) + tuple(int(c) for c in cell[1:])
+        bad = (cells < 0) | (cells >= np.asarray(self.shape))
+        if bad.any():
+            row, axis = map(int, np.argwhere(bad)[0])
+            raise RangeError(
+                f"cell {tuple(cells[row].tolist())} out of bounds on axis "
+                f"{axis} (size {self.shape[axis]})"
+            )
+        return slab_rows(cells, self._starts)
 
     def split_boxes(self, lows, highs) -> List[BatchSplit]:
         """Cut a batch of inclusive query boxes into per-shard sub-boxes.
@@ -270,38 +274,21 @@ class ShardMap:
             pieces.append((shard, idx, local_low, local_high))
         return pieces
 
-    def split_box(
-        self, low: Sequence[int], high: Sequence[int]
-    ) -> List[BoxSplit]:
-        """Cut one inclusive query box into per-shard local sub-boxes.
-
-        The one-box form of :meth:`split_boxes`: returns ``[(shard,
-        local_low, local_high), ...]`` with coordinate tuples.
-        """
-        return [
-            (shard, tuple(local_low[0].tolist()),
-             tuple(local_high[0].tolist()))
-            for shard, _, local_low, local_high in self.split_boxes(
-                [low], [high]
-            )
-        ]
-
     def split_updates(
-        self, updates: Sequence[Tuple[Sequence[int], object]]
-    ) -> Dict[int, List[Tuple[Tuple[int, ...], object]]]:
-        """Group ``(cell, delta)`` pairs by owning shard, localized.
-
-        Order within each shard preserves submission order, so a
-        per-shard sub-group applies the same deltas in the same order
-        the caller issued them.
-        """
-        grouped: Dict[int, List[Tuple[Tuple[int, ...], object]]] = {}
-        for cell, delta in updates:
-            shard = self.shard_of(cell)
-            grouped.setdefault(shard, []).append(
-                (self.to_local(shard, cell), delta)
-            )
-        return grouped
+        self, updates: Iterable[Tuple[Sequence[int], object]]
+    ) -> Dict[int, UpdateGroup]:
+        """Cut one write group (an ``UpdateGroup`` or pairs, converted
+        once) into ``{shard: local UpdateGroup}``, each in submission
+        order. Raises :class:`RangeError` as :meth:`rows_by_shard`
+        (ragged pairs too) before anything is cut."""
+        try:
+            group = UpdateGroup.of(updates, self.ndim)
+        except ValueError as error:
+            raise RangeError(str(error)) from None
+        return {
+            shard: localize(group, rows, self.bounds[shard][0])
+            for shard, rows in self.rows_by_shard(group).items()
+        }
 
     def describe(self) -> Dict:
         """Routing table as a plain dict (for ``stats()`` and docs)."""
@@ -317,3 +304,28 @@ class ShardMap:
             f"ShardMap(shape={self.shape}, num_shards={self.num_shards}, "
             f"bounds={self.bounds}, epoch={self.epoch})"
         )
+
+
+def slab_rows(cells: np.ndarray, starts: np.ndarray) -> Dict[int, np.ndarray]:
+    """``{slab: ascending row indices}`` of an ``(n, d)`` cell batch,
+    slabs ascending, for contiguous slabs starting at ``starts`` along
+    axis 0: one ``searchsorted``, then one mask per touched slab. A row
+    below ``starts[0]`` lands in slab ``-1``; bounds are the caller's."""
+    if not len(cells):
+        return {}
+    owner = np.searchsorted(starts, cells[:, 0], side="right") - 1
+    pieces = {}
+    for slab in range(int(owner.min()), int(owner.max()) + 1):
+        rows = np.flatnonzero(owner == slab)
+        if len(rows):
+            pieces[slab] = rows
+    return pieces
+
+
+def localize(group: UpdateGroup, rows: np.ndarray, start: int) -> UpdateGroup:
+    """Rows ``rows`` of ``group`` shifted into the slab starting at
+    ``start``, as fresh arrays (a submitted group is kept by reference,
+    so a sub-group must never be a view into the caller's)."""
+    cells = group.cells[rows]
+    cells[:, 0] -= start
+    return UpdateGroup(cells, group.deltas[rows])

@@ -441,7 +441,7 @@ class IngestPipeline:
             before = getattr(self.target, "roller", None)
             newest_before = before.newest_slot if before else None
             rows = UpdateGroup(cells, deltas)
-            self._retry_on_overload(
+            kept, refusal = self._retry_on_overload(
                 lambda: self.target.prepare(
                     rows, timeout=self.submit_timeout
                 )
@@ -449,14 +449,16 @@ class IngestPipeline:
             if before is not None and before.newest_slot != newest_before:
                 self.metrics.inc(rolls=before.newest_slot - newest_before)
             self._boundary("roll")
-            admitted, reason = self.target.admit(cells)
+            live, expiry = self.target.admit(cells)
+            admitted = kept & live
             if not admitted.all():
                 for row in np.flatnonzero(~admitted).tolist():
                     offset = int(offsets[row])
                     self._quarantine(
-                        offset, reason,
-                        f"cell {tuple(cells[row].tolist())} expired "
-                        f"during the group's roll",
+                        offset, expiry if kept[row] else refusal,
+                        f"cell {tuple(cells[row].tolist())} "
+                        f"{'expired during' if kept[row] else 'refused by'}"
+                        f" the group's roll",
                         _record_at(parts, offset),
                     )
                 offsets = offsets[admitted]
@@ -492,17 +494,17 @@ class IngestPipeline:
         )
         self.metrics.inc(groups_submitted=1, cells_submitted=len(group))
 
-    def _retry_on_overload(self, operation) -> None:
-        """Run ``operation`` under the overload backoff: each rejection
-        shrinks future groups and waits before retrying. Used for both
+    def _retry_on_overload(self, operation):
+        """Run ``operation`` under the overload backoff and return its
+        result: each rejection shrinks future groups and waits before
+        retrying. Used for both
         the fenced submit and the pre-submit roll — both must be safe
         to re-run as-is, which submits are (the intent is durable) and
         the roll is (``advance`` moves the window only past slabs whose
         zeroing group was acked)."""
         for attempt in range(self.max_submit_retries + 1):
             try:
-                operation()
-                return
+                return operation()
             except ServiceOverloadedError:
                 self.metrics.inc(overload_backoffs=1)
                 self.group_rows = max(

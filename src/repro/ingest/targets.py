@@ -14,7 +14,9 @@ deltas — which also iterates as ``(cell, delta)`` pairs:
     roll.
 ``prepare(group)``
     Pre-submit work that must precede the durable intent (the rolling
-    target advances the window here; idempotent on replay).
+    target advances the window here; idempotent on replay). Returns
+    the rows it refuses as ``admit`` does: a mask plus its reason (the
+    rolling target's ``bad_time`` for rows past a window of silence).
 ``expect(group)``
     The commit marker the next submitted group will reach, captured
     into the intent *before* the submit.
@@ -42,7 +44,7 @@ single-logical-writer rule; concurrent readers are unrestricted.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,16 +53,31 @@ from repro.errors import (
     FenceError,
     IngestError,
 )
+from repro.serve.group import UpdateGroup
 
 Pair = Tuple[Tuple[int, ...], float]
 
 
-def _admit_all(cells) -> Tuple[np.ndarray, str]:
-    """Every cell admitted: the mask for targets without a window."""
-    return np.ones(np.shape(cells)[:-1], dtype=bool), ""
+class _Target:
+    """The protocol's defaults for a target without a time window:
+    every cell admitted, no adapter state."""
+
+    def admit(self, cells) -> Tuple[np.ndarray, str]:
+        return np.ones(np.shape(cells)[:-1], dtype=bool), ""
+
+    def prepare(
+        self, group: UpdateGroup, *, timeout: Optional[float] = None
+    ) -> Tuple[np.ndarray, str]:
+        return np.ones(len(group), dtype=bool), ""
+
+    def state(self) -> Dict:
+        return {}
+
+    def restore(self, state: Dict) -> None:
+        pass
 
 
-class ServiceTarget:
+class ServiceTarget(_Target):
     """Adapter over one :class:`~repro.serve.CubeService`."""
 
     kind = "service"
@@ -69,14 +86,6 @@ class ServiceTarget:
         self.service = service
 
     # -- protocol ------------------------------------------------------------
-
-    def admit(self, cells) -> Tuple[np.ndarray, str]:
-        return _admit_all(cells)
-
-    def prepare(
-        self, pairs: Sequence[Pair], *, timeout: Optional[float] = None
-    ) -> None:
-        pass
 
     def expect(self, pairs: Sequence[Pair]) -> Dict:
         return {"kind": self.kind, "seq": self.service.last_submitted_seq + 1}
@@ -128,12 +137,6 @@ class ServiceTarget:
             "partial state to resubmit"
         )
 
-    def state(self) -> Dict:
-        return {}
-
-    def restore(self, state: Dict) -> None:
-        pass
-
     def queue_depth(self) -> int:
         return int(self.service.stats()["queue_depth"])
 
@@ -152,6 +155,17 @@ class RollingServiceTarget(ServiceTarget):
     rows the advance just expired, quarantine as ``expired_slot``;
     ``state`` persists ``newest_slot`` so a resumed coordinator reopens
     the window where the checkpoint left it.
+
+    A group never rolls across a run of ``window`` or more slots that
+    none of its rows occupy, counted up from the window's newest slot
+    (or the group's lowest slot, if that is higher): the rows above
+    such a run are refused as ``bad_time``, so days 0, 1 and 1000000
+    in one group on a 4-slot window keep days 0 and 1, and a late row
+    still inside the window never holds the roll back. A group wholly
+    ahead of the window by such a run still rolls there, so a far-future
+    row that starts a group expires the window; whether it does depends
+    on where the group boundaries fall. A resumed group computes the
+    same top: the first attempt's roll leaves no such run below it.
     """
 
     kind = "rolling"
@@ -164,12 +178,24 @@ class RollingServiceTarget(ServiceTarget):
         admitted = np.asarray(cells)[..., 0] >= self.roller.oldest_slot
         return admitted, "" if admitted.all() else "expired_slot"
 
-    def prepare(self, group, *, timeout: Optional[float] = None) -> None:
-        top = int(group.cells[:, 0].max())
+    def prepare(
+        self, group: UpdateGroup, *, timeout: Optional[float] = None
+    ) -> Tuple[np.ndarray, str]:
+        slots = group.cells[:, 0]
+        window = self.roller.window
+        anchor = max(int(slots.min()), self.roller.newest_slot)
+        top = int(slots.max())
+        if top - anchor > window:
+            distinct = np.unique(np.maximum(slots, anchor))
+            run = np.flatnonzero(np.diff(distinct) > window)
+            if len(run):
+                top = int(distinct[run[0]])
         if top > self.roller.newest_slot:
             self.roller.advance(
                 top - self.roller.newest_slot, timeout=timeout
             )
+        admitted = slots <= top
+        return admitted, "" if admitted.all() else "bad_time"
 
     def submit(
         self, pairs: Sequence[Pair], *, timeout: Optional[float] = None
@@ -190,7 +216,7 @@ class RollingServiceTarget(ServiceTarget):
         self.roller.flush(timeout=timeout)
 
 
-class ClusterTarget:
+class ClusterTarget(_Target):
     """Adapter over a :class:`~repro.cluster.CubeCluster`.
 
     A cross-shard group is atomic per shard, not globally, so the fence
@@ -217,32 +243,16 @@ class ClusterTarget:
 
     # -- protocol ------------------------------------------------------------
 
-    def admit(self, cells) -> Tuple[np.ndarray, str]:
-        return _admit_all(cells)
-
-    def prepare(
-        self, pairs: Sequence[Pair], *, timeout: Optional[float] = None
-    ) -> None:
-        pass
-
     def _acked_by_shard(self) -> Dict[int, int]:
         return {
             rs.shard_id: rs.last_acked
             for rs in self.cluster.replica_sets
         }
 
-    def _shards_of(self, pairs: Sequence[Pair]) -> Dict[int, List[Pair]]:
-        """Group pairs by owning shard, keeping GLOBAL coordinates
-        (``split_updates`` localizes them, which only the cluster's own
-        submit path may do — resubmitting localized cells as global
-        ones would route them to the wrong shard entirely)."""
-        grouped: Dict[int, List[Pair]] = {}
-        for cell, delta in pairs:
-            shard = self.cluster.shardmap.shard_of(cell)
-            grouped.setdefault(shard, []).append((cell, delta))
-        return grouped
+    def _group(self, updates) -> UpdateGroup:
+        return UpdateGroup.of(updates, len(self.cluster.shape))
 
-    def expect(self, pairs: Sequence[Pair]) -> Dict:
+    def expect(self, updates) -> Dict:
         acked = self._acked_by_shard()
         return {
             "kind": self.kind,
@@ -250,15 +260,17 @@ class ClusterTarget:
             # JSON round-trips dict keys as strings; store them that way
             "shards": {
                 str(shard): int(acked[shard]) + 1
-                for shard in self._shards_of(pairs)
+                for shard in self.cluster.shardmap.rows_by_shard(
+                    self._group(updates)
+                )
             },
         }
 
     def _submit_with_retry(
-        self, pairs: Sequence[Pair], expect: Dict,
+        self, group: UpdateGroup, expect: Dict,
         *, timeout: Optional[float] = None,
     ) -> Dict:
-        """Drive ``pairs`` until every touched shard meets its
+        """Drive ``group`` until every touched shard meets its
         expectation, resubmitting only still-missing shards.
 
         The fence filter applies *before* the first attempt, not only
@@ -268,18 +280,18 @@ class ClusterTarget:
         already durably acked, and the loop re-enters here with the
         full group — resubmitting the acked shards' sub-updates would
         apply them twice."""
-        remaining = self._missing_pairs(list(pairs), expect)
+        remaining = self._missing(group, expect)
         last_error: Optional[BaseException] = None
         for attempt in range(self.retries + 1):
             if not remaining:
                 break
             try:
                 self.cluster.submit_batch(remaining, timeout=timeout)
-                remaining = []
+                remaining = None
                 break
             except ClusterUnavailableError as error:
                 last_error = error
-                remaining = self._missing_pairs(remaining, expect)
+                remaining = self._missing(remaining, expect)
                 if not remaining:
                     break
                 time.sleep(self.retry_backoff * (2 ** attempt))
@@ -293,14 +305,18 @@ class ClusterTarget:
             shard: seq for shard, seq in self._acked_by_shard().items()
         }}
 
-    def _missing_pairs(
-        self, pairs: Sequence[Pair], expect: Dict
-    ) -> List[Pair]:
-        """The sub-updates routed to shards whose fence is unmet."""
+    def _missing(
+        self, group: UpdateGroup, expect: Dict
+    ) -> Optional[UpdateGroup]:
+        """The rows of ``group``, global coordinates kept, routed to
+        shards whose fence is unmet; ``None`` when every fence is met.
+        (The cluster's own submit localizes; resubmitting localized
+        cells as global ones would route them to the wrong shard.)"""
         acked = self._acked_by_shard()
-        grouped = self._shards_of(pairs)
-        missing: List[Pair] = []
-        for shard, sub in grouped.items():
+        missing = []
+        for shard, rows in self.cluster.shardmap.rows_by_shard(
+            group
+        ).items():
             seq = expect["shards"].get(str(shard))
             if seq is None:
                 # the group's routing changed under us — impossible
@@ -310,19 +326,25 @@ class ClusterTarget:
                     f"fenced intent (epoch changed mid-group?)"
                 )
             if acked.get(shard, 0) < int(seq):
-                missing.extend(sub)
-        return missing
+                missing.append(rows)
+        if not missing:
+            return None
+        rows = np.sort(np.concatenate(missing))
+        if len(rows) == len(group):
+            return group
+        return UpdateGroup(group.cells[rows], group.deltas[rows])
 
     def submit(
-        self, pairs: Sequence[Pair], *, timeout: Optional[float] = None
+        self, updates, *, timeout: Optional[float] = None
     ) -> Dict:
+        group = self._group(updates)
         return self._submit_with_retry(
-            pairs, self.expect(pairs), timeout=timeout
+            group, self.expect(group), timeout=timeout
         )
 
     def submit_fenced(
         self,
-        pairs: Sequence[Pair],
+        updates,
         expect: Dict,
         *,
         timeout: Optional[float] = None,
@@ -330,7 +352,9 @@ class ClusterTarget:
         """Submit under an intent captured earlier (the pipeline's hot
         path: the same ``expect`` it just persisted)."""
         self._check_epoch(expect)
-        return self._submit_with_retry(pairs, expect, timeout=timeout)
+        return self._submit_with_retry(
+            self._group(updates), expect, timeout=timeout
+        )
 
     def _check_epoch(self, expect: Dict) -> None:
         if int(expect.get("epoch", -1)) != int(self.cluster.epoch):
@@ -359,25 +383,9 @@ class ClusterTarget:
             return "none"
         return "partial"
 
-    def resubmit_missing(
-        self,
-        pairs: Sequence[Pair],
-        expect: Dict,
-        *,
-        timeout: Optional[float] = None,
-    ) -> None:
-        """Complete a partially committed group: only the shards whose
-        expectation is unmet receive their sub-updates again."""
-        self._check_epoch(expect)
-        missing = self._missing_pairs(pairs, expect)
-        if missing:
-            self._submit_with_retry(missing, expect, timeout=timeout)
-
-    def state(self) -> Dict:
-        return {}
-
-    def restore(self, state: Dict) -> None:
-        pass
+    #: completing a partially committed group is a fenced submit: only
+    #: the shards whose expectation is unmet receive their rows again
+    resubmit_missing = submit_fenced
 
     def queue_depth(self) -> int:
         depths = [

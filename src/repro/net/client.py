@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import asyncio
 import numbers
+import operator
 from typing import Any, AsyncIterator, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -314,7 +315,7 @@ class CubeClient:
 
 
 def _coord(index) -> list:
-    return [int(c) for c in index]
+    return [operator.index(c) for c in index]  # a float: TypeError
 
 
 def _coords(batch) -> list:

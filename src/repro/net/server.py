@@ -108,7 +108,7 @@ def _parse_updates(raw) -> list:
         index, delta = entry
         if not isinstance(index, (list, tuple)):
             raise ProtocolError("update index must be a coordinate list")
-        updates.append((tuple(int(c) for c in index), delta))
+        updates.append((index, delta))  # a float coordinate: TypeError
     return updates
 
 

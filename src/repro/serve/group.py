@@ -46,21 +46,37 @@ class UpdateGroup:
         cls, updates: Iterable[Tuple[Sequence[int], object]], ndim: int
     ) -> "UpdateGroup":
         """``updates`` as a group: a group passes through, pairs are
-        converted once (deltas keep the dtype ``np.asarray`` infers)."""
-        if isinstance(updates, UpdateGroup):
-            return updates
-        pairs = [
-            (tuple(int(c) for c in index), delta) for index, delta in updates
-        ]
-        if not pairs:
-            return cls(
-                np.empty((0, ndim), dtype=np.intp),
-                np.empty(0, dtype=np.int64),
+        converted once (deltas keep the dtype ``np.asarray`` infers).
+        Non-integer cells raise ``TypeError``, as on reads, never
+        truncated; ragged pairs raise ``ValueError`` naming the first
+        cell whose arity is not ``ndim``."""
+        group = updates
+        if not isinstance(group, UpdateGroup):
+            pairs = list(updates)
+            if not pairs:
+                return cls(
+                    np.empty((0, ndim), dtype=np.intp),
+                    np.empty(0, dtype=np.int64),
+                )
+            try:
+                cells = np.asarray([index for index, _ in pairs])
+            except ValueError:  # ragged rows
+                for index, _ in pairs:
+                    if len(index) != ndim:
+                        raise ValueError(
+                            f"cell {tuple(index)} has {len(index)} "
+                            f"coordinates, cube has {ndim}"
+                        ) from None
+                raise
+            group = cls(cells, np.asarray([delta for _, delta in pairs]))
+        if group.cells.dtype.kind not in "iu" or group.cells.ndim != 2:
+            raise TypeError(
+                f"cells must be an (n, d) batch of integer coordinates, "
+                f"got {group.cells.dtype} of shape {group.cells.shape}"
             )
-        return cls(
-            np.asarray([cell for cell, _ in pairs], dtype=np.intp),
-            np.asarray([delta for _, delta in pairs]),
-        )
+        if group.cells.dtype != np.intp:
+            group = cls(group.cells.astype(np.intp), group.deltas)
+        return group
 
     def __len__(self) -> int:
         return len(self.deltas)

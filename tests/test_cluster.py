@@ -1,5 +1,7 @@
 """CubeCluster: sharded exact queries, replication, failover, hedging."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.cluster import (
 )
 from repro.errors import DeadlineExceededError, RangeError, WALError
 from repro.faults import FaultPlan
+from repro.serve import UpdateGroup
 from repro.workloads import ClusterWorkloadRunner
 
 from .conftest import brute_range_sum, random_range
@@ -105,6 +108,52 @@ class TestQueries:
             metrics = cluster.stats()["metrics"]
             assert metrics["queries_routed"] == 1
             assert metrics["query_shard_reads"] == 3
+
+
+class TestWriteValidation:
+    """A bad cell fails the whole group before any shard acks, with
+    ``RangeError`` naming the first bad cell in submission order."""
+
+    @pytest.mark.parametrize("group, bad", [
+        ([((0, 1), 1), ((1, 2, 3), 1)], (1, 2, 3)),    # ragged, too long
+        ([((11, 1), 1), ((0,), 1)], (0,)),             # ragged, too short
+        ([((1, 2, 3), 1), ((4, 5, 6), 1)], (1, 2, 3)),  # uniform arity
+        ([((0, 0), 1), ((12, 0), 1), ((0, 10), 1)], (12, 0)),
+        ([((5, 5), 1), ((3, -1), 1), ((-1, 0), 1)], (3, -1)),
+    ])
+    def test_bad_cell_fails_the_group_before_any_shard_acks(
+        self, tmp_path, rng, group, bad
+    ):
+        cube = make_cube(rng)
+        with make_cluster(tmp_path, cube) as cluster:
+            inputs = [group]
+            if len({len(cell) for cell, _ in group}) == 1:
+                inputs.append(UpdateGroup(
+                    np.asarray([c for c, _ in group], dtype=np.intp),
+                    np.asarray([d for _, d in group]),
+                ))
+            for updates in inputs:
+                with pytest.raises(RangeError, match=re.escape(str(bad))):
+                    cluster.submit_batch(updates)
+            assert all(rs.last_acked == 0 for rs in cluster.replica_sets)
+            cluster.flush()
+            assert cluster.total() == cube.sum()
+
+    def test_a_group_mixing_big_ints_and_a_float_shares_one_dtype(
+        self, tmp_path
+    ):
+        """The group's deltas take one dtype, as on a single service:
+        ``2**53 + 1`` beside a float delta on another shard arrives as
+        float64 ``2**53``; the int64 shard keeps its dtype, the float
+        delta's shard promotes."""
+        cube = np.zeros(SHAPE, dtype=np.int64)
+        group = [((0, 0), 2 ** 53 + 1), ((11, 0), 0.5)]
+        with make_cluster(tmp_path, cube) as cluster:
+            cluster.submit_batch(group)
+            cluster.flush()
+            first = cluster.range_sum((0, 0), (3, 9))
+            assert first.dtype == np.int64 and first == 2 ** 53
+            assert cluster.range_sum((8, 0), (11, 9)) == 0.5
 
 
 class TestFailover:

@@ -29,6 +29,7 @@ from repro.cluster import (
 from repro.cluster.shardmap import ShardMap
 from repro.errors import ClusterError, ClusterUnavailableError
 from repro.faults import FaultPlan
+from repro.serve import UpdateGroup
 
 from .conftest import brute_range_sum, random_range
 
@@ -81,7 +82,7 @@ class TestSlabSummary:
             cell = tuple(int(rng.integers(0, n)) for n in slab.shape)
             delta = float(rng.integers(-8, 9))
             slab[cell] += delta
-            summary.apply([(cell, delta)])
+            summary.apply(UpdateGroup.of([(cell, delta)], slab.ndim))
         for _ in range(100):
             low, high = random_range(rng, slab.shape)
             truth = brute_range_sum(slab, low, high)
@@ -105,7 +106,7 @@ class TestSlabSummary:
                 )
                 for _ in range(int(rng.integers(0, 12)))
             ]
-            summary.apply(group)
+            summary.apply(UpdateGroup.of(group, slab.ndim))
             for cell, delta in group:
                 block = tuple(
                     int(np.searchsorted(edges, c, side="right") - 1)

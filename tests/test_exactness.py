@@ -13,6 +13,7 @@ import contextlib
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -211,3 +212,37 @@ def test_every_stack_answers_int64_cubes_identically(case):
                 if values.dtype != np.int64 or values.tolist() != truth:
                     wrong[name] = (str(values.dtype), values.tolist())
     assert not wrong, f"expected int64 {truth}, got {wrong}"
+
+
+# -- write coordinates are integers, as read coordinates are -----------------
+
+
+def test_float_cell_coordinates_are_rejected_not_truncated(tmp_path):
+    """A float write coordinate raises ``TypeError`` as a float read
+    coordinate does — on a service, a cluster, its shard map and the
+    net client — instead of being truncated onto another cell (``3.7``
+    used to write row 3)."""
+    groups = [[((3.7, 1), 5)], [((1, 1), 2), ((3.0, 1), 5)]]
+
+    async def client_calls(server, group):
+        async with await CubeClient.connect(*server.address) as client:
+            with pytest.raises(TypeError, match="integer"):
+                await client.submit_batch(group)
+            with pytest.raises(TypeError, match="integer"):
+                await client.range_sum_many([(3.7, 1)], [(3.7, 1)])
+
+    zeros = np.zeros((8, 8), dtype=np.int64)
+    with CubeService(RelativePrefixSumCube, zeros) as service, \
+            make_cluster(zeros, tmp_path) as cluster, \
+            CubeServer(service, port=0) as server:
+        for group in groups:
+            for backend in (service, cluster):
+                with pytest.raises(TypeError, match="integer"):
+                    backend.submit_batch(group)
+            asyncio.run(client_calls(server, group))
+        for backend in (service, cluster):
+            backend.flush()
+            assert backend.total() == 0
+        assert cluster.shardmap.shard_of((3, 1)) == 0
+        with pytest.raises(TypeError, match="integer"):
+            cluster.shardmap.shard_of((3.7, 1))

@@ -134,7 +134,20 @@ def model_run(records, schema, *, rolling, measure_dtype, chunk_rows,
         nonlocal newest
         if rows:
             if rolling:
-                top = max(coords[0] for _, coords, _, _ in rows)
+                # the roll stops below the group's first run of at
+                # least WINDOW slots none of its rows occupy, counted
+                # up from the newest slot or the group's lowest row
+                anchor = max(
+                    newest, min(coords[0] for _, coords, _, _ in rows)
+                )
+                slots = sorted(
+                    {max(coords[0], anchor) for _, coords, _, _ in rows}
+                )
+                top = slots[-1]
+                for low, high in zip(slots, slots[1:]):
+                    if high - low > WINDOW:
+                        top = low
+                        break
                 if top > newest:
                     before = cube.copy()
                     last_dirty = min(top, newest + WINDOW)
@@ -155,7 +168,13 @@ def model_run(records, schema, *, rolling, measure_dtype, chunk_rows,
                     newest = top
             kept = []
             for offset, coords, delta, record in rows:
-                if rolling and coords[0] < oldest():
+                if rolling and coords[0] > top:
+                    dead.append((
+                        offset, "bad_time",
+                        f"cell {coords} refused by the group's roll",
+                        record,
+                    ))
+                elif rolling and coords[0] < oldest():
                     dead.append((
                         offset, "expired_slot",
                         f"cell {coords} expired during the group's roll",
@@ -269,6 +288,7 @@ day_steps = st.one_of(
 day_oddities = st.sampled_from([
     None, "x", "2", -1, -3, True, 3.0, np.int64(1), MISSING,
     2 ** 70, "9" * 25,                                   # beyond intp
+    10 ** 6,                                             # far future
 ])
 
 
@@ -373,8 +393,10 @@ def test_every_quarantine_reason_is_exercised():
         {"day": 0, "x": 1, "sales": 2.5},        # measure_dtype
         {"day": -1, "x": 1, "sales": 1.0},       # bad_time
         {"day": 0, "x": "3", "sales": 1},        # fallback, encodes
-        {"day": 6, "x": 2, "sales": 1.0},        # rolls day 0 out
-        {"day": 1, "x": 2, "sales": 1.0},        # expired_slot
+        {"day": 4, "x": 2, "sales": 1.0},        # rolls day 0 out
+        {"day": 0, "x": 2, "sales": 1.0},        # expired_slot
+        {"day": 4, "x": 3, "sales": 1.0},
+        {"day": 10 ** 6, "x": 3, "sales": 1.0},  # bad_time: past the roll
     ]
     _, dead, _, _ = model_run(
         records, schema_for(True), rolling=True, measure_dtype=np.int64,
@@ -386,6 +408,7 @@ def test_every_quarantine_reason_is_exercised():
     ]
     errors = [str(error) for _, _, error, _ in dead]
     assert any("during the group's roll" in e for e in errors)
+    assert any("refused by the group's roll" in e for e in errors)
     assert any("not admissible" in e for e in errors)
     check_equal(records, True, np.int64, 8, 8)
     check_equal(records, True, np.int64, 3, 2)
@@ -409,4 +432,55 @@ def test_a_day_beyond_the_index_dtype_dead_letters_as_bad_time():
     assert dead.count(b"bad_time") == 2
     assert cube.sum() == 2.0
     check_equal(records, True, None, 4, 4)
+    check_equal(records, True, None, 1, 1)
+
+
+def test_a_far_future_day_does_not_expire_its_group():
+    """Days 0, 1 and 1000000 in one group on a 4-slot window: the roll
+    stops below the run of empty slots, so days 0 and 1 land and only
+    the far-future row dead-letters, as ``bad_time``. An unbounded roll
+    used to zero the whole window for it and expire the other two."""
+    records = [
+        {"day": 0, "x": 1, "sales": 1.0},
+        {"day": 1, "x": 2, "sales": 2.0},
+        {"day": 10 ** 6, "x": 3, "sales": 4.0},
+    ]
+    with tempfile.TemporaryDirectory() as directory:
+        _, dead, checkpoint, cube = pipeline_run(
+            records, schema_for(True), rolling=True, measure_dtype=None,
+            chunk_rows=3, group_rows=3, directory=directory,
+        )
+    expected = np.zeros((WINDOW, SIZE))
+    expected[0, 1], expected[1, 2] = 1.0, 2.0
+    assert np.array_equal(cube, expected)
+    assert checkpoint["target_state"] == {"newest_slot": 1}
+    assert dead.count(b"bad_time") == 1 and b"1000000" in dead
+    check_equal(records, True, None, 3, 3)
+    check_equal(records, True, None, 1, 1)
+
+
+def test_a_late_live_row_does_not_hold_the_roll_back():
+    """The run of empty slots is counted up from the window's newest
+    slot, not from the group's lowest row: with slots 7..10 live, a
+    group of days 7 and 12 rolls to 12 and expires only day 7. Counted
+    from day 7, the gap of 5 slots would refuse day 12 as ``bad_time``
+    although it is only 2 slots past the window."""
+    records = [
+        {"day": 9, "x": 1, "sales": 1.0},
+        {"day": 10, "x": 2, "sales": 2.0},
+        {"day": 7, "x": 3, "sales": 4.0},
+        {"day": 12, "x": 4, "sales": 8.0},
+    ]
+    with tempfile.TemporaryDirectory() as directory:
+        _, dead, checkpoint, cube = pipeline_run(
+            records, schema_for(True), rolling=True, measure_dtype=None,
+            chunk_rows=2, group_rows=2, directory=directory,
+        )
+    expected = np.zeros((WINDOW, SIZE))
+    expected[9 % WINDOW, 1], expected[10 % WINDOW, 2] = 1.0, 2.0
+    expected[12 % WINDOW, 4] = 8.0
+    assert np.array_equal(cube, expected)
+    assert checkpoint["target_state"] == {"newest_slot": 12}
+    assert b"bad_time" not in dead and dead.count(b"expired_slot") == 1
+    check_equal(records, True, None, 2, 2)
     check_equal(records, True, None, 1, 1)

@@ -412,6 +412,35 @@ class TestFailureEdges:
                 assert frames[1]["error"]["code"] == "bad_request"
                 assert frames[2]["ok"] is True
 
+    def test_float_update_coordinate_is_bad_request_like_a_read(self):
+        """A float coordinate in a submit frame gets the ``bad_request``
+        a float read coordinate gets, and writes nothing — it used to
+        be truncated onto the cell below."""
+        with small_service() as (svc, cube):
+            with serving(svc) as server:
+                frames = raw_exchange(server, b"".join([
+                    request_bytes(
+                        "submit_batch",
+                        {"updates": [[[3.7, 1], 5.0]]}, request_id=1,
+                    ),
+                    request_bytes(
+                        "submit_batch",
+                        {"updates": [[[1, 1], 2.0], [[3.0, 1], 5.0]]},
+                        request_id=2,
+                    ),
+                    request_bytes(
+                        "range_sum_many",
+                        {"lows": [[3.7, 1]], "highs": [[3.7, 1]]},
+                        request_id=3,
+                    ),
+                ]), recv_frames=3)
+                assert [f["error"]["code"] for f in frames] == [
+                    "bad_request"
+                ] * 3
+                assert all("integer" in f["error"]["message"] for f in frames)
+                svc.flush()
+                assert svc.total() == cube.sum()
+
     def test_out_of_bounds_query_is_bad_request_not_crash(self):
         with small_service() as (svc, _):
             with serving(svc) as server:

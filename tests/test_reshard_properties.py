@@ -12,11 +12,16 @@ Arrays are integer-valued so partial sums across shards compare
 bit-for-bit against the single-array oracle — no float tolerance needed.
 """
 
+import bisect
+from types import SimpleNamespace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ShardMap
+from repro.cluster.reshard import Migration
+from repro.serve import UpdateGroup
 
 from .conftest import brute_range_sum
 
@@ -79,6 +84,77 @@ def cell_owner_table(shardmap):
         shardmap.shard_of((row,) + (0,) * (shardmap.ndim - 1))
         for row in range(shardmap.shape[0])
     )
+
+
+def reference_split_updates(shardmap, updates):
+    """The per-pair split the columnar ``split_updates`` replaced, kept
+    as the reference: one bisect and one localized tuple per pair."""
+    starts = [start for start, _ in shardmap.bounds]
+    grouped = {}
+    for cell, delta in updates:
+        owner = bisect.bisect_right(starts, cell[0]) - 1
+        local = (cell[0] - starts[owner],) + tuple(cell[1:])
+        grouped.setdefault(owner, []).append((local, delta))
+    return grouped
+
+
+def as_pairs(grouped):
+    return {shard: list(group) for shard, group in grouped.items()}
+
+
+class RecordingSet:
+    """Stands in for a replica set: records every submitted group."""
+
+    def __init__(self):
+        self.groups = []
+
+    def submit(self, group):
+        self.groups.append(list(group))
+
+
+def check_mirrors(kind, source_shards, old_map, new_map, updates):
+    """Each source's acked local group reaches the targets as the
+    per-pair split of its rows under ``new_map``; after the flip, each
+    target's acked local group reaches the sources as the per-pair
+    split under ``old_map``."""
+    migration = Migration(kind, source_shards, old_map, new_map)
+    migration.sources = [
+        (RecordingSet(), old_map.bounds[s]) for s in source_shards
+    ]
+    migration.targets = [
+        (RecordingSet(), bounds) for bounds in migration.target_bounds
+    ]
+    cluster = SimpleNamespace(metrics=SimpleNamespace(inc=lambda **_: None))
+    ndim = old_map.ndim
+    for mode, (acking, old, receiving, new, indices) in {
+        Migration.MODE_DUAL: (
+            migration.sources, old_map, migration.targets, new_map,
+            migration.source_shards,
+        ),
+        Migration.MODE_REVERSE: (
+            migration.targets, new_map, migration.sources, old_map,
+            migration.target_new_indices,
+        ),
+    }.items():
+        migration.mode = mode
+        for index, (_, (start, stop)) in zip(indices, acking):
+            mine = [(c, d) for c, d in updates if start <= c[0] < stop]
+            if not mine:
+                continue
+            local = reference_split_updates(old, mine)[index]
+            for replica_set, _ in receiving:
+                replica_set.groups.clear()
+            migration.on_write(
+                cluster, index, UpdateGroup.of(local, ndim), seq=1
+            )
+            assert migration.failed is None
+            assert not migration.rollback_unsafe
+            got = {}
+            for replica_set, bounds in receiving:
+                assert len(replica_set.groups) <= 1
+                for group in replica_set.groups:
+                    got[new.bounds.index(bounds)] = group
+            assert got == reference_split_updates(new, mine)
 
 
 class TestSplitMergeRoundTrip:
@@ -159,25 +235,30 @@ class TestCrossEpochExactness:
         least 1."""
         shardmap, shard, at_row, array, boxes = case
         split_map = shardmap.split_shard(shard, at_row=at_row)
-        for low, high in boxes:
-            oracle = brute_range_sum(array, low, high)
-            for epoch_map in (shardmap, split_map):
-                pieces = epoch_map.split_box(low, high)
-                total = 0.0
-                seen = set()
-                for piece_shard, plo, phi in pieces:
-                    assert piece_shard not in seen
-                    seen.add(piece_shard)
-                    slab = epoch_map.subarray(array, piece_shard)
-                    total += brute_range_sum(slab, plo, phi)
-                assert total == oracle
+        lows = [low for low, _ in boxes]
+        highs = [high for _, high in boxes]
+        oracle = [brute_range_sum(array, low, high) for low, high in boxes]
+        for epoch_map in (shardmap, split_map):
+            totals = [0.0] * len(boxes)
+            pieces = epoch_map.split_boxes(lows, highs)
+            assert len({piece[0] for piece in pieces}) == len(pieces)
+            for piece_shard, idx, plows, phighs in pieces:
+                slab = epoch_map.subarray(array, piece_shard)
+                for q, plo, phi in zip(idx.tolist(), plows, phighs):
+                    totals[q] += brute_range_sum(slab, plo, phi)
+            assert totals == oracle
 
-    @given(maps_with_data())
+    @given(maps_with_data(), st.sampled_from([float, int]))
     @settings(max_examples=80, deadline=None)
-    def test_split_updates_route_identically_across_epochs(self, case):
+    def test_split_updates_route_identically_across_epochs(
+        self, case, delta_type
+    ):
         """Applying one update stream through the old layout and through
         the post-split layout produces bit-identical cubes: localization
-        plus re-globalization is the identity under both epochs."""
+        plus re-globalization is the identity under both epochs. Every
+        columnar split — pairs or an ``UpdateGroup`` into
+        ``split_updates``, and both migration mirrors — gives each shard
+        exactly the per-pair reference split, in submission order."""
         shardmap, shard, at_row, array, boxes = case
         split_map = shardmap.split_shard(shard, at_row=at_row)
         updates = []
@@ -188,7 +269,7 @@ class TestCrossEpochExactness:
             cell = tuple(
                 int(rng.integers(0, size)) for size in shardmap.shape
             )
-            updates.append((cell, float(rng.integers(-9, 10))))
+            updates.append((cell, delta_type(rng.integers(-9, 10))))
         images = []
         for epoch_map in (shardmap, split_map):
             image = array.copy()
@@ -200,20 +281,20 @@ class TestCrossEpochExactness:
                     image[global_cell] += delta
             images.append(image)
         assert np.array_equal(images[0], images[1])
-        # and the per-shard sub-groups preserve submission order
-        grouped = split_map.split_updates(updates)
-        for piece_shard, local_updates in grouped.items():
-            start, _ = split_map.slab(piece_shard)
-            rebuilt = [
-                ((cell[0] + start,) + cell[1:], delta)
-                for cell, delta in local_updates
-            ]
-            filtered = [
-                (cell, delta)
-                for cell, delta in updates
-                if split_map.shard_of(cell) == piece_shard
-            ]
-            assert rebuilt == filtered
+        # and the per-shard sub-groups match the per-pair split
+        group = UpdateGroup.of(updates, shardmap.ndim)
+        for epoch_map in (shardmap, split_map):
+            expected = reference_split_updates(epoch_map, updates)
+            for given_updates in (updates, group):
+                got = as_pairs(epoch_map.split_updates(given_updates))
+                assert got == expected
+                assert list(got) == sorted(expected)
+        # the dual-write mirror (split) and the reverse mirror back
+        check_mirrors("split", (shard,), shardmap, split_map, updates)
+        check_mirrors(
+            "merge", (shard, shard + 1), split_map,
+            split_map.merge_shards(shard), updates,
+        )
 
     @given(maps_with_data())
     @settings(max_examples=60, deadline=None)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import ShardMap
 from repro.errors import ClusterError, RangeError
+from repro.serve import UpdateGroup
 
 from .conftest import brute_range_sum, random_range
 
@@ -73,30 +74,49 @@ class TestRouting:
         with pytest.raises(RangeError):
             shardmap.shard_of((0,))
 
-    def test_to_local_translates_leading_axis_only(self):
+    def test_split_updates_translates_leading_axis_only(self):
         shardmap = ShardMap((10, 4), 2)
-        assert shardmap.to_local(1, (7, 3)) == (2, 3)
-        with pytest.raises(ClusterError):
-            shardmap.to_local(0, (7, 3))
+        grouped = shardmap.split_updates([((7, 3), 1.0)])
+        assert list(grouped) == [1]
+        assert list(grouped[1]) == [((2, 3), 1.0)]
 
     def test_split_updates_localizes_and_preserves_order(self):
         shardmap = ShardMap((10, 4), 2)
-        grouped = shardmap.split_updates(
-            [((0, 1), 1.0), ((9, 2), 2.0), ((1, 0), 3.0)]
+        pairs = [((0, 1), 1.0), ((9, 2), 2.0), ((1, 0), 3.0)]
+        group = UpdateGroup.of(pairs, 2)
+        for updates in (pairs, group):
+            grouped = shardmap.split_updates(updates)
+            assert list(grouped) == [0, 1]
+            assert list(grouped[0]) == [((0, 1), 1.0), ((1, 0), 3.0)]
+            assert list(grouped[1]) == [((4, 2), 2.0)]
+            # sub-groups are fresh arrays, never views of the input
+            for sub in grouped.values():
+                assert isinstance(sub, UpdateGroup)
+                assert not np.shares_memory(sub.cells, group.cells)
+        assert group.cells.tolist() == [[0, 1], [9, 2], [1, 0]]
+        assert shardmap.split_updates([]) == {}
+
+
+def split_one(shardmap, low, high):
+    """One box through ``split_boxes``, as ``(shard, local_low,
+    local_high)`` coordinate tuples."""
+    return [
+        (shard, tuple(local_low[0].tolist()), tuple(local_high[0].tolist()))
+        for shard, _, local_low, local_high in shardmap.split_boxes(
+            [low], [high]
         )
-        assert grouped[0] == [((0, 1), 1.0), ((1, 0), 3.0)]
-        assert grouped[1] == [((4, 2), 2.0)]
+    ]
 
 
 class TestSplitBox:
     def test_box_inside_one_shard(self):
         shardmap = ShardMap((10, 4), 2)
-        pieces = shardmap.split_box((6, 0), (8, 3))
+        pieces = split_one(shardmap, (6, 0), (8, 3))
         assert pieces == [(1, (1, 0), (3, 3))]
 
     def test_box_spanning_all_shards(self):
         shardmap = ShardMap((9, 4), 3)
-        pieces = shardmap.split_box((0, 1), (8, 2))
+        pieces = split_one(shardmap, (0, 1), (8, 2))
         assert [p[0] for p in pieces] == [0, 1, 2]
         for shard, low, high in pieces:
             size = shardmap.shard_shape(shard)[0]
@@ -106,9 +126,9 @@ class TestSplitBox:
     def test_split_validates_ranges(self):
         shardmap = ShardMap((10, 4), 2)
         with pytest.raises(RangeError):
-            shardmap.split_box((5, 0), (4, 3))  # inverted
+            shardmap.split_boxes([(5, 0)], [(4, 3)])  # inverted
         with pytest.raises(RangeError):
-            shardmap.split_box((0, 0), (10, 3))  # out of bounds
+            shardmap.split_boxes([(0, 0)], [(10, 3)])  # out of bounds
 
     @pytest.mark.parametrize("num_shards", [1, 2, 3, 5])
     def test_partial_sums_reassemble_exactly(self, rng, num_shards):
@@ -119,7 +139,7 @@ class TestSplitBox:
             low, high = random_range(rng, array.shape)
             total = sum(
                 brute_range_sum(slabs[shard], slow, shigh)
-                for shard, slow, shigh in shardmap.split_box(low, high)
+                for shard, slow, shigh in split_one(shardmap, low, high)
             )
             assert total == brute_range_sum(array, low, high)
 
@@ -128,7 +148,7 @@ class TestSplitBox:
         for _ in range(30):
             low, high = random_range(rng, (12, 5))
             rows = []
-            for shard, slow, shigh in shardmap.split_box(low, high):
+            for shard, slow, shigh in split_one(shardmap, low, high):
                 start, _ = shardmap.slab(shard)
                 rows.extend(range(start + slow[0], start + shigh[0] + 1))
             assert rows == list(range(low[0], high[0] + 1))
@@ -226,9 +246,9 @@ def check_against_reference(shardmap, boxes):
             covered[q].extend(range(start + lo[0], start + hi[0] + 1))
     for q, (low, high) in enumerate(boxes):
         assert covered[q] == list(range(low[0], high[0] + 1))
-    # the one-box form is the same split
+    # each box split on its own gives the same pieces
     for low, high in boxes:
-        assert shardmap.split_box(low, high) == reference_split_box(
+        assert split_one(shardmap, low, high) == reference_split_box(
             shardmap, low, high
         )
 
@@ -277,7 +297,7 @@ class TestSplitBoxes:
     def test_a_malformed_box_raises_range_error(self, low, high):
         shardmap = ShardMap((10, 4), 2)
         with pytest.raises(RangeError):
-            shardmap.split_box(low, high)
+            shardmap.split_boxes([low], [high])
         with pytest.raises(RangeError):
             shardmap.split_boxes([(0, 0), low], [(1, 1), high])
 

@@ -21,7 +21,9 @@ only the fault choreography:
   health monitor must fail over with zero acked-group loss),
   **partitioning a replica** (reads keep flowing) and **corrupting a
   replica's state** (the anti-entropy scrubber must detect and repair
-  it).
+  it). Here and in ``reshard``, every other write group is submitted as
+  an :class:`~repro.serve.group.UpdateGroup` and the rest as pairs, so
+  both input forms run under the faults.
 * ``router`` races concurrent readers of a
   :class:`~repro.routing.QueryRouter` against writer churn while a fault
   fails every backend read in the middle third of the round: each
@@ -67,6 +69,7 @@ Usage::
 
 import argparse
 import asyncio
+import itertools
 import json
 import shutil
 import sys
@@ -84,7 +87,7 @@ from repro.cluster import BreakerPolicy, CubeCluster
 from repro.core.rps import RelativePrefixSumCube
 from repro.faults import InjectedFault
 from repro.routing import QueryRouter
-from repro.serve import recover_state
+from repro.serve import UpdateGroup, recover_state
 from repro.testing import VersionOracle, assert_recovery_correct
 from repro.workloads import ClusterWorkloadRunner, random_group, random_ranges
 
@@ -229,6 +232,20 @@ SINGLE_SCENARIOS = {
 # -- cluster: kill / partition / corrupt / heal ---------------------------
 
 
+def _write_forms(params):
+    """Every other write group as an ``UpdateGroup``, the rest as pairs
+    (which half comes from the round's seed, not its RNG), so both
+    input forms run under the round's faults."""
+    turn = itertools.count(
+        int(np.random.default_rng([params["seed"], params["round"]])
+            .integers(2))
+    )
+    ndim = len(params["shape"])
+    return lambda group: (
+        UpdateGroup.of(group, ndim) if next(turn) % 2 else group
+    )
+
+
 def _run_cluster(rng, params, state_dir):
     """One kill/partition/corrupt/heal round against an exact oracle."""
     shape = params["shape"]
@@ -236,12 +253,13 @@ def _run_cluster(rng, params, state_dir):
     plan = FaultPlan(seed=params["seed"])
     cluster = _cluster(params, cube, state_dir, plan)
     runner = ClusterWorkloadRunner(cluster, cube.astype(np.float64))
+    form = _write_forms(params)
 
     def drive(queries, groups):
         result = runner.run(
             list(random_ranges(shape, queries, seed=rng)),
             [
-                random_group(rng, shape, int(rng.integers(1, 6)))
+                form(random_group(rng, shape, int(rng.integers(1, 6))))
                 for _ in range(groups)
             ],
         )
@@ -476,12 +494,13 @@ def _run_reshard(rng, params, state_dir):
     oracle = VersionOracle(cube.astype(np.float64))
     plan = FaultPlan(seed=params["seed"])
     cluster = _cluster(params, cube, state_dir, plan)
+    form = _write_forms(params)
 
     def write(group):
         # the oracle records exactly the acked groups: an unacked submit
         # raises before the record, so a lost acked group (or a
         # double-applied one) shows up as a query mismatch
-        cluster.submit_batch(group)
+        cluster.submit_batch(form(group))
         oracle.record(group)
 
     def write_group():
