@@ -2,13 +2,17 @@
 
 The paper's update cost is logical cells per cascade; the looped
 incremental path pays a Python interpreter round-trip per update on top.
-The vectorized engine replays a whole batch as whole-structure
-scatter/cumsum passes with *identical* semantics: same resulting RP and
-overlay arrays byte-for-byte, same counter ledger (totals and per
-structure). This benchmark measures the wall-clock crossover between the
-three ``apply_batch`` strategies across batch sizes m = 1e2..1e5 on a
-1024x1024 cube, asserting the equivalence as it goes, and records which
-strategy ``auto`` would pick at each m.
+The vectorized engine replays a whole batch as scatter/cumsum passes
+over the touched RP boxes and the overlay arrays, with *identical*
+semantics: same resulting RP and overlay arrays byte-for-byte, same
+counter ledger (totals and per structure). This benchmark measures the
+wall-clock crossover between the three ``apply_batch`` strategies
+across batch sizes m = 1e2..1e5 on a 1024x1024 cube, asserting the
+equivalence as it goes, and records which strategy ``auto`` would pick
+at each m. A report-only ``small_batches`` sweep times every strategy
+per call at the group sizes serving writers send (m = 4..64 on a
+cluster shard, a dashboard cube and a 3-D ingest window), where
+``auto`` chooses between the looped cascade and the vectorized kernel.
 
 Writes ``results/U1.json`` next to S1/S2. Run standalone
 (``python benchmarks/bench_u1_batch_updates.py``) or via pytest.
@@ -33,6 +37,15 @@ BATCH_SIZES = (100, 1_000, 10_000, 100_000)
 #: is minutes of interpreter round-trips; the vectorized and rebuild
 #: paths still run the full sweep).
 LOOPED_CAP = 10_000
+
+#: The small-batch sweep (report only): one cluster shard of a 512x512
+#: cube split in two, a 256x256 dashboard cube and a 16x64x64 ingest
+#: window (``auto``'s model has a term for the dimension), each at its
+#: default box size, at the group sizes serving writers send.
+SMALL_SHAPES = ((256, 512), (256, 256), (16, 64, 64))
+SMALL_BATCH_SIZES = (4, 16, 32, 64)
+SMALL_STRATEGIES = ("auto", "incremental", "vectorized")
+SMALL_CALLS = 60
 
 
 def _time(fn):
@@ -120,7 +133,49 @@ def run_u1(shape=SHAPE, box_size=BOX_SIZE, batch_sizes=BATCH_SIZES,
         "box_size": box_size,
         "seed": seed,
         "rows": rows,
+        "small_batches": run_small_batches(seed=seed),
     }
+
+
+def run_small_batches(shapes=SMALL_SHAPES, batch_sizes=SMALL_BATCH_SIZES,
+                      calls=SMALL_CALLS, seed=29):
+    """Per-call microseconds of each strategy on small batches.
+
+    Every call applies a fresh batch to one long-lived cube, as a
+    serving writer does; the strategies take turns call by call so a
+    noisy host slows them alike. Deltas are float64, as the WAL hands
+    them back. Reports the median and minimum per strategy, and the
+    strategy ``auto`` picks for the first batch.
+    """
+    rows = []
+    for shape in shapes:
+        rng = np.random.default_rng(seed)
+        cube = RelativePrefixSumCube(datagen.uniform_cube(shape, seed=seed))
+        for m in batch_sizes:
+            times = {strategy: [] for strategy in SMALL_STRATEGIES}
+            for call in range(calls):
+                idx = np.stack(
+                    [rng.integers(0, n, size=m) for n in shape], axis=1
+                ).astype(np.intp)
+                deltas = rng.integers(-9, 10, size=m).astype(np.float64)
+                if call == 0:
+                    picked = cube.choose_batch_strategy(idx)
+                turn = call % len(SMALL_STRATEGIES)
+                order = SMALL_STRATEGIES[turn:] + SMALL_STRATEGIES[:turn]
+                for strategy in order:
+                    _, seconds = _time(
+                        lambda: cube.apply_batch_array(
+                            idx, deltas, strategy=strategy
+                        )
+                    )
+                    times[strategy].append(seconds * 1e6)
+            row = {"shape": list(shape), "box_size": cube.box_size, "m": m,
+                   "auto_strategy": picked}
+            for strategy, samples in times.items():
+                row[f"{strategy}_us"] = float(np.median(samples))
+                row[f"{strategy}_min_us"] = float(np.min(samples))
+            rows.append(row)
+    return rows
 
 
 def write_report(report, path=None):
@@ -170,6 +225,15 @@ def main():
             f"  m={row['m']:>6}  vec={row['vectorized_s']*1e3:8.2f} ms  "
             f"rebuild={row['rebuild_s']*1e3:8.2f} ms  "
             f"speedup={speedup_txt}  auto={row['auto_strategy']}"
+        )
+    print("  small batches (median us per call):")
+    for row in report["small_batches"]:
+        print(
+            f"  {'x'.join(map(str, row['shape'])):>8} m={row['m']:>3}  "
+            f"auto={row['auto_us']:7.0f}  "
+            f"incremental={row['incremental_us']:7.0f}  "
+            f"vectorized={row['vectorized_us']:7.0f}  "
+            f"auto picks {row['auto_strategy']}"
         )
 
 

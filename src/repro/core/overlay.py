@@ -42,6 +42,7 @@ query identity with one ``take``.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
@@ -109,47 +110,60 @@ def subset_update_slices(shape, box_sizes, boxes_shape, idx, mask):
     return tuple(add), sub
 
 
-def subset_update_extents(shape, box_sizes, boxes_shape, batch, mask):
+class UpdateExtents:
     """Batched counterpart of :func:`subset_update_slices`.
 
-    For a validated ``(m, d)`` index batch, returns per-row descriptions
-    of how each update touches the value array of subset ``mask``:
-
-    * ``applicable`` — rows affecting this subset at all (no non-Z axis
-      anchor-aligned),
-    * ``exclusion`` — applicable rows whose ``Π{a_j}`` exclusion slice
-      applies (anchor-aligned on all of Z),
-    * ``add_cells`` / ``sub_cells`` — the cell counts of the two regions
-      (``add_cells`` is 0 when the affected slice is empty, e.g. the
-      update sits in the last box of a Z axis).
-
-    The region geometry matches :func:`subset_update_slices` exactly;
-    only the representation differs (counts instead of slices), so the
-    vectorized update path can charge the very cells the looped cascade
-    charges.
+    Takes the per-row, per-axis geometry of a validated ``(m, d)`` index
+    batch once; :meth:`subset` then describes, per row, how each update
+    touches the value array of one subset ``mask``. The region geometry
+    matches :func:`subset_update_slices` exactly; only the
+    representation differs (counts instead of slices), so the vectorized
+    update path charges the very cells the looped cascade charges.
     """
-    m, ndim = batch.shape
-    applicable = np.ones(m, dtype=bool)
-    exclusion = np.ones(m, dtype=bool)
-    add_cells = np.ones(m, dtype=np.int64)
-    sub_cells = np.ones(m, dtype=np.int64)
-    for axis in range(ndim):
-        u = batch[:, axis]
-        k = box_sizes[axis]
-        box = u // k
-        aligned = u == box * k
-        if mask & (1 << axis):
-            # Boxes with anchor at or after the update on this axis.
-            add_cells *= np.maximum(boxes_shape[axis] - (box + ~aligned), 0)
-            exclusion &= aligned
-        else:
-            # Same box, strictly after its anchor, at or after u.
-            applicable &= ~aligned
-            span = np.minimum((box + 1) * k, shape[axis]) - u
-            add_cells *= span
-            sub_cells *= span
-    exclusion &= applicable
-    return applicable, exclusion, add_cells, sub_cells
+
+    def __init__(self, shape, box_sizes, boxes_shape, batch) -> None:
+        # axis-major (d, m): numpy reduces slowly along a short inner axis
+        sizes = np.asarray(box_sizes, dtype=np.intp)[:, None]
+        self.ndim = len(shape)
+        #: the batch's coordinates, one row per axis
+        self.cols = np.ascontiguousarray(batch.T)
+        #: box number of each update, per axis
+        self.box = self.cols // sizes
+        aligned = self.cols == self.box * sizes
+        #: first box whose anchor is at or after the update, per axis
+        self.ceil_box = self.box + ~aligned
+        #: bitmask of each row's anchor-aligned axes (bit j = axis j)
+        self.aligned_bits = np.bitwise_or.reduce(
+            aligned << np.arange(self.ndim)[:, None], axis=0
+        )
+        #: boxes from ``ceil_box`` to the end: the extent on a Z axis
+        self.box_span = np.maximum(
+            np.asarray(boxes_shape)[:, None] - self.ceil_box, 0
+        )
+        #: same-box cells at or after the update: the extent elsewhere
+        self.cell_span = (
+            np.minimum((self.box + 1) * sizes, np.asarray(shape)[:, None])
+            - self.cols
+        )
+
+    def subset(self, mask: int):
+        """``(applicable, exclusion, add_cells, sub_cells)`` for ``mask``.
+
+        * ``applicable`` — rows affecting this subset at all (no non-Z
+          axis anchor-aligned),
+        * ``exclusion`` — applicable rows whose ``Π{a_j}`` exclusion
+          slice applies (anchor-aligned on all of Z),
+        * ``add_cells`` / ``sub_cells`` — the cell counts of the two
+          regions on applicable rows (``add_cells`` is 0 when the
+          affected slice is empty, e.g. the update sits in the last box
+          of a Z axis).
+        """
+        in_z = (mask >> np.arange(self.ndim) & 1).astype(bool)[:, None]
+        applicable = (self.aligned_bits & ~mask) == 0
+        exclusion = self.aligned_bits == mask
+        add_cells = np.where(in_z, self.box_span, self.cell_span).prod(axis=0)
+        sub_cells = np.where(in_z, 1, self.cell_span).prod(axis=0)
+        return applicable, exclusion, add_cells, sub_cells
 
 
 class Overlay:
@@ -241,6 +255,17 @@ class Overlay:
             spans.append((mask, slice(start, start + size), shape))
             start += size
         self._term_offsets = tuple(offsets)
+        #: mask -> (its span of the flat buffer, its array's shape,
+        #: which axes are in Z, its array's element strides)
+        self._spans = {
+            mask: (
+                span,
+                shape,
+                (mask >> np.arange(self.ndim) & 1).astype(bool),
+                np.cumprod((1,) + shape[:0:-1])[::-1],
+            )
+            for mask, span, shape in spans
+        }
         self._flat = np.empty(start, dtype=dtype)
         self._values: Dict[int, np.ndarray] = {
             mask: self._flat[span].reshape(shape)
@@ -432,7 +457,10 @@ class Overlay:
 
         Returns the number of overlay cells whose stored value changed.
         """
-        idx = indexing.normalize_index(index, self.shape)
+        return self.cascade(indexing.normalize_index(index, self.shape), delta)
+
+    def cascade(self, idx: Coord, delta) -> int:
+        """:meth:`apply_delta` at an already-validated index tuple."""
         touched_total = 0
         for mask in range(1, self._full_mask + 1):
             add, sub = self._update_slices(idx, mask)
@@ -458,71 +486,39 @@ class Overlay:
             touched_total += touched
         return touched_total
 
-    def apply_batch_array(self, indices, deltas) -> int:
-        """Propagate ``(m, d)`` point deltas in one vectorized pass.
+    def apply_rows(self, batch: np.ndarray, deltas: np.ndarray) -> int:
+        """Apply an already-validated ``(m, d)`` batch of point deltas.
 
         Every stored value is linear in ``A``, so the batch's effect on
-        the value array of subset ``Z`` is realized without touching
-        individual updates: scatter each applicable delta at the *low
-        corner* of its affected region (box ``ceil(u_j / k_j)`` on the
-        ``Z`` axes, raw coordinate ``u_j`` elsewhere) and run the region
-        shape as cumulative sums — plain over box indices on ``Z`` axes,
-        box-blocked over raw coordinates elsewhere. The anchor-exclusion
-        slice is a second scatter (at box ``u_j // k_j``) accumulated
-        over the non-``Z`` axes only, subtracted. ``np.add.at``
-        accumulates duplicate rows, so one batch may hit one cell twice.
+        the value array of subset ``Z`` is a sum of signed *corners*, each
+        spread to the end of its region by cumulative sums: plain over
+        box numbers on the ``Z`` axes, box-blocked over raw coordinates
+        elsewhere. An update's affected region starts at box
+        ``ceil(u_j / k_j)`` on the ``Z`` axes and at ``u_j`` elsewhere.
+        When the update is anchor-aligned on all of ``Z``, its
+        ``prod{a_j}`` exclusion cancels that corner and leaves one signed
+        corner per nonempty ``S`` of ``Z``: sign ``(-1)^(|S|+1)`` at box
+        ``u_j / k_j + 1`` on ``S`` and ``u_j / k_j`` on the rest of ``Z``.
+
+        Every subset's corners go into one zero copy of the flat buffer
+        in one ``np.add.at`` (which accumulates duplicate rows); each hit
+        subset then takes its cumsums in place, and one add folds the
+        buffer into the stored values.
 
         Charges exactly what looping :meth:`apply_delta` charges, per
         structure (zero-delta rows included). Returns the total number of
         overlay cells written, in that same ledger.
         """
-        batch, deltas = indexing.normalize_update_batch(
-            indices, deltas, self.shape
-        )
         if len(batch) == 0:
             return 0
-        sizes = np.asarray(self.box_sizes, dtype=np.intp)
-        box = batch // sizes
-        ceil_box = box + (batch != box * sizes)
+        extents = UpdateExtents(
+            self.shape, self.box_sizes, self.boxes_shape, batch
+        )
+        grid = np.asarray(self.boxes_shape)
+        corners, weights, hit = [], [], []
         touched_total = 0
         for mask in range(1, self._full_mask + 1):
-            applicable, exclusion, add_cells, sub_cells = (
-                subset_update_extents(
-                    self.shape, self.box_sizes, self.boxes_shape, batch, mask
-                )
-            )
-            values = self._values[mask]
-            add_rows = applicable & (add_cells > 0)
-            if add_rows.any():
-                spread = np.zeros_like(values)
-                pos = tuple(
-                    ceil_box[add_rows, axis] if mask & (1 << axis)
-                    else batch[add_rows, axis]
-                    for axis in range(self.ndim)
-                )
-                np.add.at(spread, pos, deltas[add_rows])
-                for axis in range(self.ndim):
-                    if mask & (1 << axis):
-                        np.cumsum(spread, axis=axis, out=spread)
-                    else:
-                        spread = blocked_cumsum(
-                            spread, axis, self.box_sizes[axis]
-                        )
-                values += spread
-            if exclusion.any():
-                spread = np.zeros_like(values)
-                pos = tuple(
-                    box[exclusion, axis] if mask & (1 << axis)
-                    else batch[exclusion, axis]
-                    for axis in range(self.ndim)
-                )
-                np.add.at(spread, pos, deltas[exclusion])
-                for axis in range(self.ndim):
-                    if not mask & (1 << axis):
-                        spread = blocked_cumsum(
-                            spread, axis, self.box_sizes[axis]
-                        )
-                values -= spread
+            applicable, exclusion, add_cells, sub_cells = extents.subset(mask)
             touched = int(
                 add_cells[applicable].sum() - sub_cells[exclusion].sum()
             )
@@ -533,6 +529,45 @@ class Overlay:
                 )
                 self.counter.write(touched, structure=structure)
             touched_total += touched
+            span, _, in_z, strides = self._spans[mask]
+            # flat index of the region's corner, less its Z-axis share
+            base = span.start + (strides * ~in_z) @ extents.cols
+            z_strides = strides * in_z
+            found = len(corners)
+            plain = applicable & ~exclusion & (add_cells > 0)
+            if plain.any():
+                corners.append(
+                    base[plain] + z_strides @ extents.ceil_box[:, plain]
+                )
+                weights.append(deltas[plain])
+            if exclusion.any():
+                box = extents.box[:, exclusion]
+                anchor = base[exclusion] + z_strides @ box
+                excluded = deltas[exclusion]
+                part = mask
+                while part:
+                    axes = [a for a in range(self.ndim) if part >> a & 1]
+                    inside = (box[axes] + 1 < grid[axes, None]).all(axis=0)
+                    if inside.any():
+                        corners.append(anchor[inside] + strides[axes].sum())
+                        sign = 1 if len(axes) % 2 else -1
+                        weights.append(sign * excluded[inside])
+                    part = (part - 1) & mask
+            if len(corners) > found:
+                hit.append(mask)
+        if not hit:
+            return touched_total
+        spread = np.zeros_like(self._flat)
+        np.add.at(spread, np.concatenate(corners), np.concatenate(weights))
+        for mask in hit:
+            span, shape, in_z, _ = self._spans[mask]
+            view = spread[span].reshape(shape)
+            for axis in range(self.ndim):
+                if in_z[axis]:
+                    np.cumsum(view, axis=axis, out=view)
+                else:
+                    blocked_cumsum(view, axis, self.box_sizes[axis], out=view)
+        self._flat += spread
         return touched_total
 
     def update_cost_many(self, batch) -> np.ndarray:
@@ -545,15 +580,32 @@ class Overlay:
         totals = np.zeros(len(batch), dtype=np.int64)
         if len(batch) == 0:
             return totals
+        extents = UpdateExtents(
+            self.shape, self.box_sizes, self.boxes_shape, batch
+        )
         for mask in range(1, self._full_mask + 1):
-            applicable, exclusion, add_cells, sub_cells = (
-                subset_update_extents(
-                    self.shape, self.box_sizes, self.boxes_shape, batch, mask
-                )
-            )
+            applicable, exclusion, add_cells, sub_cells = extents.subset(mask)
             totals += np.where(applicable, add_cells, 0)
             totals -= np.where(exclusion, sub_cells, 0)
         return totals
+
+    def worst_update_cost(self) -> int:
+        """An upper bound on the overlay cells any one update touches.
+
+        Per subset ``Z``: every box on the ``Z`` axes times a box less its
+        anchor face on the others (the slices of
+        :func:`subset_update_slices` at their widest, before the
+        exclusion is taken off).
+        """
+        total = 0
+        for mask in self.masks():
+            cells = 1
+            for axis, (n, k, b) in enumerate(
+                zip(self.shape, self.box_sizes, self.boxes_shape)
+            ):
+                cells *= b if mask >> axis & 1 else min(k, n) - 1
+            total += cells
+        return total
 
     def _update_slices(self, idx: Coord, mask: int):
         """(add, subtract) slice tuples for one subset's value array.
@@ -611,8 +663,8 @@ class Overlay:
             for axis in range(self.ndim):
                 if not mask & (1 << axis):
                     per_box *= self.box_sizes[axis] - 1
-            used += per_box * int(np.prod(self.boxes_shape))
-        return used
+            used += per_box
+        return used * math.prod(self.boxes_shape)
 
     def allocated_cells(self) -> int:
         """Total cells of the backing arrays (including the padding slots

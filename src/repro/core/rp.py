@@ -11,6 +11,7 @@ cascades only within one box (Figure 15), never across the boundary.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -43,7 +44,27 @@ class RelativePrefixArray:
         self.ndim = source.ndim
         self.box_sizes = indexing.normalize_box_sizes(box_size, source.shape)
         self.counter = counter if counter is not None else AccessCounter()
-        self._rp = blocked_prefix_all_axes(source, self.box_sizes)
+        # RP lives in a buffer padded out to whole boxes (a box is never
+        # wider than its axis), so the batch kernel can view it box by
+        # box. The padding is never read. Only the buffer is stored:
+        # views of it would not survive a copy or a pickle.
+        self._extents = tuple(
+            min(k, n) for n, k in zip(self.shape, self.box_sizes)
+        )
+        self._grid = tuple(
+            -(-n // k) for n, k in zip(self.shape, self.box_sizes)
+        )
+        self._buf = np.zeros(
+            tuple(b * e for b, e in zip(self._grid, self._extents)),
+            np.cumsum(source[:0]).dtype,
+        )
+        self._unpadded = tuple(slice(0, n) for n in self.shape)
+        blocked_prefix_all_axes(source, self.box_sizes, out=self._rp)
+
+    @property
+    def _rp(self) -> np.ndarray:
+        """RP itself: the unpadded view of the buffer."""
+        return self._buf[self._unpadded]
 
     @property
     def box_size(self):
@@ -70,15 +91,15 @@ class RelativePrefixArray:
     def value_rows(self, rows: np.ndarray) -> np.ndarray:
         """:meth:`value_many` over an already-validated ``(Q, d)`` batch."""
         if len(rows) == 0:
-            return np.empty(0, dtype=self._rp.dtype)
+            return np.empty(0, dtype=self._buf.dtype)
         self.counter.read(len(rows), structure="RP")
-        # one take at the C-order flat index: cheaper than a fancy index
-        # with one index array per axis
+        # one take at the flat index into the padded buffer: cheaper
+        # than a fancy index with one index array per axis
         cols = rows.T
         index = cols[0]
         for axis in range(1, self.ndim):
-            index = index * self.shape[axis] + cols[axis]
-        return self._rp.ravel().take(index)
+            index = index * self._buf.shape[axis] + cols[axis]
+        return self._buf.reshape(-1).take(index)
 
     def cell_value(self, index: Sequence[int]):
         """Recover ``A[index]`` from RP alone by box-local differencing.
@@ -88,12 +109,13 @@ class RelativePrefixArray:
         """
         idx = indexing.normalize_index(index, self.shape)
         anchor = indexing.anchor_of(idx, self.box_sizes)
-        total = self._rp.dtype.type(0)
+        rp = self._rp
+        total = rp.dtype.type(0)
         for sign, corner in indexing.iter_corners(idx, idx):
             if any(c < a for c, a in zip(corner, anchor)):
                 continue
             self.counter.read(1, structure="RP")
-            total += sign * self._rp[corner]
+            total += sign * rp[corner]
         return total
 
     def apply_delta(self, index: Sequence[int], delta) -> int:
@@ -104,7 +126,10 @@ class RelativePrefixArray:
 
         Returns the number of RP cells written.
         """
-        idx = indexing.normalize_index(index, self.shape)
+        return self.cascade(indexing.normalize_index(index, self.shape), delta)
+
+    def cascade(self, idx: Coord, delta) -> int:
+        """:meth:`apply_delta` at an already-validated index tuple."""
         region = tuple(
             slice(i, min((i // k) * k + k, n))
             for i, k, n in zip(idx, self.box_sizes, self.shape)
@@ -128,35 +153,56 @@ class RelativePrefixArray:
         ends = np.minimum((batch // sizes + 1) * sizes, bounds)
         return np.prod(ends - batch, axis=1)
 
-    def apply_batch_array(self, indices, deltas) -> int:
-        """Apply ``(m, d)`` point deltas in one vectorized pass.
+    def box_cells(self) -> int:
+        """Cells of one stacked box: the most one update's cascade writes."""
+        return math.prod(self._extents)
 
-        RP is linear in ``A``, so the whole batch is realized by
-        scatter-adding the deltas into a zero cube (``np.add.at``, which
-        accumulates duplicate rows) and adding its box-relative prefix
-        sums to RP — the builder's own kernel, run once per batch instead
-        of one constrained cascade per update.
+    def apply_rows(self, batch: np.ndarray, deltas: np.ndarray) -> int:
+        """Apply an already-validated ``(m, d)`` batch of point deltas.
+
+        RP is linear in ``A`` and its boxes are independent, so the batch
+        changes only the boxes it touches, each by the box-relative
+        prefix sums of its own deltas. The ``B`` touched boxes are
+        stacked as one ``(B, k_1, .., k_d)`` array (each ``k_j`` capped
+        at ``n_j``): the deltas are scatter-added at their box-local
+        offsets (``np.add.at`` accumulates duplicate rows), cumsummed
+        along every box axis, and added into RP's box-by-box view. A
+        ragged last box is stacked at full size; its cells past the
+        cube's edge land in the padding. The work is ``B * prod(k)``
+        cells, never the whole of RP.
 
         Charges exactly what looping :meth:`apply_delta` charges: the sum
         of the per-update cascade sizes (zero-delta rows included).
 
         Returns the number of RP cells written, in that same ledger.
         """
-        batch, deltas = indexing.normalize_update_batch(
-            indices, deltas, self.shape
-        )
         if len(batch) == 0:
             return 0
         written = int(self.update_sizes(batch).sum())
-        spread = np.zeros(self.shape, dtype=self._rp.dtype)
-        np.add.at(spread, tuple(batch.T), deltas)
-        self._rp += blocked_prefix_all_axes(spread, self.box_sizes)
+        sizes = np.asarray(self.box_sizes, dtype=np.intp)
+        box = batch // sizes
+        touched, slot = np.unique(
+            np.ravel_multi_index(tuple(box.T), self._grid),
+            return_inverse=True,
+        )
+        spread = np.zeros((len(touched),) + self._extents, self._buf.dtype)
+        np.add.at(spread, (slot,) + tuple((batch - box * sizes).T), deltas)
+        for axis in range(1, self.ndim + 1):
+            np.cumsum(spread, axis=axis, out=spread)
+        # view the buffer as (box number, offset) per axis; the advanced
+        # indices select the touched boxes, which come first, as in
+        # ``spread``
+        where = np.unravel_index(touched, self._grid)
+        boxes = self._buf.reshape(
+            tuple(v for pair in zip(self._grid, self._extents) for v in pair)
+        )
+        boxes[tuple(v for b in where for v in (b, slice(None)))] += spread
         self.counter.write(written, structure="RP")
         return written
 
     def storage_cells(self) -> int:
         """RP is exactly the size of A."""
-        return self._rp.size
+        return math.prod(self.shape)
 
     def array(self) -> np.ndarray:
         """Copy of the RP array (used by the Figure 10/13 reproductions)."""

@@ -79,6 +79,10 @@ class RelativePrefixSumCube(RangeSumMethod):
         self.rp = RelativePrefixArray(
             array, self.box_sizes, counter=self.counter
         )
+        #: an upper bound on the cells any one update's cascade touches
+        self._worst_update_cells = (
+            self.rp.box_cells() + self.overlay.worst_update_cost()
+        )
 
     @property
     def box_size(self):
@@ -163,16 +167,24 @@ class RelativePrefixSumCube(RangeSumMethod):
 
     def _apply_delta(self, index: Sequence[int], delta) -> None:
         """Add ``delta`` to one cell (Figure 15's constrained cascade)."""
-        idx = indexing.normalize_index(index, self.shape)
-        self.rp.apply_delta(idx, delta)
-        self.overlay.apply_delta(idx, delta)
+        self._cascade(indexing.normalize_index(index, self.shape), delta)
 
-    #: Approximate numpy cells processed in the wall-clock time of one
-    #: Python-level cascade step; calibrated by ``bench_u1``. ``auto``
-    #: switches from looped cascades to the vectorized engine once the
-    #: batch is large enough that one whole-structure pass is cheaper
-    #: than m interpreter round-trips.
-    VECTORIZED_CELLS_PER_CASCADE = 1024
+    def _cascade(self, idx, delta) -> None:
+        """The cascade at an already-validated index tuple."""
+        self.rp.cascade(idx, delta)
+        self.overlay.cascade(idx, delta)
+
+    #: Wall-clock model of ``auto``'s looped-vs-vectorized choice, in
+    #: cells of the vectorized kernel's passes. One looped cascade costs
+    #: ``CASCADE_STEP_CELLS`` per step: three for the loop and RP, one
+    #: per overlay subset (``3 + 2^d - 1``: 1500 cells in 2-D). One
+    #: vectorized call costs ``VECTORIZED_GROUP_CELLS`` per corner group
+    #: it builds (a subset ``Z`` and a nonempty ``S`` of it: ``3^d - 2^d``,
+    #: 20000 cells in 2-D), plus its passes over the overlay arrays and
+    #: one RP box per row. Fitted on 2-D, 3-D and 4-D cubes (rough in
+    #: 1-D); ``bench_u1``'s ``small_batches`` sweep times both sides.
+    CASCADE_STEP_CELLS = 250
+    VECTORIZED_GROUP_CELLS = 4000
 
     BATCH_STRATEGIES = ("auto", "incremental", "vectorized", "rebuild")
 
@@ -184,15 +196,17 @@ class RelativePrefixSumCube(RangeSumMethod):
         * ``"incremental"`` — one constrained cascade per update
           (m x O(n^{d/2}) cells, one Python step per update).
         * ``"vectorized"`` — identical incremental semantics and cell
-          ledger, executed as whole-structure scatter/cumsum passes (no
-          per-update Python; see :meth:`Overlay.apply_batch_array`).
+          ledger, executed as scatter/cumsum passes over the touched RP
+          boxes and the overlay arrays, with no per-update Python (see
+          :meth:`RelativePrefixArray.apply_rows` and
+          :meth:`Overlay.apply_rows`).
         * ``"rebuild"`` — materialize the batch, rebuild overlay and RP
           from the patched array (O(n^d) cells, independent of m).
         * ``"auto"`` (default) — :meth:`choose_batch_strategy`: the
           paper's cost model picks incremental-vs-rebuild semantics, a
-          wall-clock model picks looped-vs-vectorized execution; the
-          crossovers are measured in the ``bench_a1``/``bench_u1``
-          ablations.
+          wall-clock model picks looped-vs-vectorized execution (tiny
+          batches stay looped); the crossovers are measured in the
+          ``bench_a1``/``bench_u1`` ablations.
 
         Returns the number of updates applied.
         """
@@ -235,20 +249,32 @@ class RelativePrefixSumCube(RangeSumMethod):
 
         Two nested decisions: the paper's logical cost model compares the
         summed cascade cost against one rebuild (the crossover near
-        ``m ~ n^{d/2}``); when incremental semantics win, a wall-clock
-        model compares m interpreter steps against one whole-structure
-        vectorized pass (:attr:`VECTORIZED_CELLS_PER_CASCADE`).
+        ``m ~ n^{d/2}``); the exact sum is skipped when m worst-case
+        cascades cannot exceed a rebuild either. When incremental
+        semantics win, a wall-clock model compares m interpreter steps
+        against one vectorized call (:attr:`CASCADE_STEP_CELLS`,
+        :attr:`VECTORIZED_GROUP_CELLS`).
         """
-        batch = indexing.normalize_index_batch(indices, self.shape)
-        if int(self.update_cost_many(batch).sum()) > self.storage_cells():
-            return "rebuild"
-        vectorized_pass_cells = (
-            self.rp.storage_cells() + self.overlay.allocated_cells()
+        return self._choose_rows(
+            indexing.normalize_index_batch(indices, self.shape)
         )
+
+    def _choose_rows(self, batch: np.ndarray) -> str:
+        """:meth:`choose_batch_strategy` over an already-validated batch."""
+        m = len(batch)
+        rebuild_cells = self.storage_cells()
         if (
-            len(batch) * self.VECTORIZED_CELLS_PER_CASCADE
-            >= vectorized_pass_cells
+            m * self._worst_update_cells > rebuild_cells
+            and int(self.update_cost_many(batch).sum()) > rebuild_cells
         ):
+            return "rebuild"
+        d = self.ndim
+        vectorized_cells = (
+            self.VECTORIZED_GROUP_CELLS * (3**d - 2**d)
+            + self.overlay.allocated_cells()
+            + m * self.rp.box_cells()
+        )
+        if m * self.CASCADE_STEP_CELLS * (2 + 2**d) >= vectorized_cells:
             return "vectorized"
         return "incremental"
 
@@ -258,13 +284,13 @@ class RelativePrefixSumCube(RangeSumMethod):
         self._check_strategy(strategy)
         deltas = self.coerce_deltas(deltas)
         if strategy == "auto":
-            strategy = self.choose_batch_strategy(indices)
+            strategy = self._choose_rows(indices)
         if strategy == "incremental":
-            for row, delta in zip(indices, deltas):
-                self.apply_delta(tuple(int(c) for c in row), delta)
+            for row, delta in zip(indices.tolist(), deltas):
+                self._cascade(tuple(row), delta)
         elif strategy == "vectorized":
-            self.rp.apply_batch_array(indices, deltas)
-            self.overlay.apply_batch_array(indices, deltas)
+            self.rp.apply_rows(indices, deltas)
+            self.overlay.apply_rows(indices, deltas)
         else:
             patched = self.to_array()
             np.add.at(patched, tuple(indices.T), deltas)

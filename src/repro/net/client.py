@@ -23,7 +23,7 @@ from __future__ import annotations
 import asyncio
 import numbers
 import operator
-from typing import Any, AsyncIterator, Dict, Optional, Sequence, Tuple
+from typing import Any, AsyncIterator, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -218,8 +218,9 @@ class CubeClient:
         *,
         timeout: Optional[float] = None,
         deadline: Optional[Deadline] = None,
-    ) -> int:
-        """Queue one atomic update group; returns its sequence number.
+    ) -> Union[int, Dict[int, int]]:
+        """Queue one atomic update group; returns the backend's ack: its
+        sequence number from a service, ``{shard: seq}`` from a cluster.
         ``timeout`` here is the *server-side* queue-admission timeout
         (matching :meth:`CubeService.submit_batch`), independent of the
         request deadline."""
@@ -230,9 +231,14 @@ class CubeClient:
         if timeout is not None:
             params["timeout"] = float(timeout)
         result = await self.call("submit_batch", params, deadline=deadline)
-        return int(result["seq"])
+        seq = result["seq"]
+        if isinstance(seq, dict):
+            return {int(shard): int(s) for shard, s in seq.items()}
+        return int(seq)
 
-    async def submit_delta(self, index, delta, **kw) -> int:
+    async def submit_delta(
+        self, index, delta, **kw
+    ) -> Union[int, Dict[int, int]]:
         return await self.submit_batch([(index, delta)], **kw)
 
     async def flush(

@@ -72,6 +72,14 @@ def _stamp_json(stamp):
     return str(stamp)
 
 
+def _ack_json(ack):
+    """A write ack as JSON: a service's int sequence number, or a
+    cluster's ``{shard: seq}`` map (keys become strings on the wire)."""
+    if isinstance(ack, dict):
+        return {str(int(shard)): int(seq) for shard, seq in ack.items()}
+    return int(ack)
+
+
 def _epoch_of(stamp) -> Optional[int]:
     """The shard-map epoch carried by a cluster stamp, if any.
 
@@ -566,7 +574,7 @@ class CubeServer:
             )
         )
         await self._send(writer, {
-            "id": request_id, "ok": True, "result": {"seq": int(seq)},
+            "id": request_id, "ok": True, "result": {"seq": _ack_json(seq)},
         })
 
     async def _op_flush(self, writer, request_id, params, deadline, tenant):

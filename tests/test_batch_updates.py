@@ -247,15 +247,44 @@ class TestAutoStrategySelection:
         idx = np.ones((500, 2), dtype=np.intp)  # near-worst-case cascades
         assert cube.choose_batch_strategy(idx) == "rebuild"
 
-    def test_crossover_threshold_is_the_documented_model(self, cube):
-        pass_cells = (
-            cube.rp.storage_cells() + cube.overlay.allocated_cells()
-        )
-        threshold = -(-pass_cells // cube.VECTORIZED_CELLS_PER_CASCADE)
-        below = np.full((threshold - 1, 2), 127, dtype=np.intp)
-        at = np.full((threshold, 2), 127, dtype=np.intp)
+    @staticmethod
+    def _assert_documented_crossover(cube):
+        d = cube.ndim
+        # the smallest m whose cascades (3 + 2^d - 1 steps each) cost more
+        # than one vectorized call: its fixed cost per corner group
+        # (3^d - 2^d of them), the overlay arrays and one RP box per row
+        threshold = -(-(
+            cube.VECTORIZED_GROUP_CELLS * (3**d - 2**d)
+            + cube.overlay.allocated_cells()
+        ) // (cube.CASCADE_STEP_CELLS * (2 + 2**d) - cube.rp.box_cells()))
+        last = np.asarray(cube.shape) - 1
+        below = np.tile(last, (threshold - 1, 1)).astype(np.intp)
+        at = np.tile(last, (threshold, 1)).astype(np.intp)
         assert cube.choose_batch_strategy(below) == "incremental"
         assert cube.choose_batch_strategy(at) == "vectorized"
+        return threshold
+
+    def test_crossover_threshold_is_the_documented_model(self, cube):
+        assert self._assert_documented_crossover(cube) == 17
+
+    @pytest.mark.parametrize("shape, box_size, threshold", [
+        ((16, 64, 64), None, 52), ((12, 12, 12, 12), 3, 69),
+    ])
+    def test_crossover_threshold_grows_with_dimension(
+        self, rng, shape, box_size, threshold
+    ):
+        cube = RelativePrefixSumCube(
+            rng.integers(0, 9, size=shape), box_size=box_size
+        )
+        assert self._assert_documented_crossover(cube) == threshold
+
+    def test_boxes_wider_than_a_cascade_stay_looped(self, rng):
+        # one stacked box costs more than the cascade it replaces
+        cube = RelativePrefixSumCube(
+            rng.integers(0, 9, size=(256, 256)), box_size=64
+        )
+        idx = np.full((500, 2), 255, dtype=np.intp)
+        assert cube.choose_batch_strategy(idx) == "incremental"
 
     def test_auto_array_path_applies_correctly(self, rng):
         array = rng.integers(0, 9, size=(64, 64))

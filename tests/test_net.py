@@ -24,6 +24,7 @@ import pytest
 
 from repro import (
     CubeClient,
+    CubeCluster,
     CubeServer,
     CubeService,
     Deadline,
@@ -299,6 +300,32 @@ class TestServerHappyPath:
                         assert await c.version() == flushed
 
                 run(scenario())
+
+    def test_submit_to_a_cluster_returns_per_shard_seqs(self, tmp_path):
+        """A cluster acks ``{shard: seq}``; the wire carries that map back
+        and the group lands exactly once."""
+        cube = np.arange(48, dtype=np.int64).reshape(6, 8)
+        with CubeCluster(
+            RelativePrefixSumCube, cube, num_shards=2,
+            replication_factor=2, data_dir=tmp_path,
+        ) as cluster:
+            with serving(cluster) as server:
+                async def scenario():
+                    host, port = server.address
+                    async with await CubeClient.connect(host, port) as c:
+                        acks = await c.submit_batch(
+                            [((0, 0), 5.0), ((5, 7), -2.0)]
+                        )
+                        assert acks == {0: 1, 1: 1}
+                        acks = await c.submit_batch([((5, 7), 4.0)])
+                        assert acks == {1: 2}
+                        await c.flush()
+                        value, _ = await c.range_sum((0, 0), (5, 7))
+                        assert value == cube.sum() + 7
+
+                run(scenario())
+            assert cluster.range_sum((0, 0), (0, 0)) == cube[0, 0] + 5
+            assert cluster.range_sum((5, 7), (5, 7)) == cube[5, 7] + 2
 
     def test_streaming_chunks_are_exact_and_stamped(self):
         with small_service() as (svc, cube):
