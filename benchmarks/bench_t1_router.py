@@ -19,10 +19,18 @@ tier is a broken router). Every routed value is checked bit-for-bit
 against the direct answers first; a fast wrong cache would fail before
 any timing is compared.
 
+Two report-only keys time single calls, each the minimum of
+:data:`CALL_REPEATS`: ``direct_call_min_ms`` (one direct read of the
+page) and ``first_call_ms`` (a fresh router's first, missing call on
+it). Their difference is what the router adds to a miss, and the
+direct minimum shows which of its two speeds the host's direct read
+ran at.
+
 Writes ``results/T1.json`` next to S1/S2/U1/R1. Run standalone
 (``python benchmarks/bench_t1_router.py``) or via pytest.
 """
 
+import functools
 import json
 import pathlib
 import time
@@ -43,6 +51,9 @@ REPEATS = 20
 
 #: Repeats per timed configuration; the reported time is the median.
 TIMING_REPEATS = 3
+
+#: Calls per report-only single-call timing; the reported time is the min.
+CALL_REPEATS = 30
 
 #: The routed hot path must beat direct RPS by at least this factor.
 MIN_SPEEDUP = 5.0
@@ -81,6 +92,17 @@ def _time_routed(router, pages):
     return time.perf_counter() - start
 
 
+def _min_ms(calls):
+    """The fastest of ``calls`` (zero-argument callables), timed one by
+    one, in ms."""
+    best = float("inf")
+    for call in calls:
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return best * 1e3
+
+
 def run_t1(shape=SHAPE, q=Q, repeats=REPEATS, seed=21):
     """Time direct vs routed serving; returns the T1 report dict."""
     cube = datagen.uniform_cube(shape, seed=seed)
@@ -101,6 +123,14 @@ def run_t1(shape=SHAPE, q=Q, repeats=REPEATS, seed=21):
                 routed_values = router.range_sum_many(*hot)
                 router_stats = router.stats()["router"]
         routed_hot_s = _median(hot_samples)
+        direct_call_ms = _min_ms(
+            [functools.partial(service.query_many, *hot)] * CALL_REPEATS
+        )
+        # a fresh router per call, built before the clock starts
+        first_call_ms = _min_ms([
+            functools.partial(QueryRouter(service).range_sum_many, *hot)
+            for _ in range(CALL_REPEATS)
+        ])
 
     values_equal = bool(
         np.array_equal(np.asarray(routed_values), np.asarray(expected_hot))
@@ -122,6 +152,9 @@ def run_t1(shape=SHAPE, q=Q, repeats=REPEATS, seed=21):
         "timing_repeats": TIMING_REPEATS,
         "min_speedup_gate": MIN_SPEEDUP,
         "min_hit_rate_gate": MIN_HIT_RATE,
+        "call_repeats": CALL_REPEATS,
+        "direct_call_min_ms": direct_call_ms,
+        "first_call_ms": first_call_ms,
         "rows": [
             {
                 "config": "direct_rps",
@@ -174,6 +207,11 @@ def main():
     report = run_t1()
     path = write_report(report)
     print(f"wrote {path}")
+    print(
+        f"  single calls (min of {CALL_REPEATS}): direct "
+        f"{report['direct_call_min_ms']:.3f} ms, fresh router's first "
+        f"{report['first_call_ms']:.3f} ms"
+    )
     for row in report["rows"]:
         speedup = row.get("speedup_vs_direct")
         rate = row.get("cache_hit_rate")

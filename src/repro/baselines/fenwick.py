@@ -130,10 +130,7 @@ class FenwickCube(RangeSumMethod):
             )
             out[mask] += self._tree[cell]
 
-    def range_sum_many(self, lows, highs) -> np.ndarray:
-        """Batched range sums: the corner identity over batched prefixes."""
-        lo, hi = indexing.normalize_range_batch(lows, highs, self.shape)
-        return self._corner_range_sum_many(lo, hi)
+    _range_rows = RangeSumMethod._corner_range_sum_many
 
     def _apply_delta(self, index: Sequence[int], delta) -> None:
         """Add ``delta`` along the O(log^d n) update paths."""
@@ -146,23 +143,6 @@ class FenwickCube(RangeSumMethod):
         view += delta
         self._tree[np.ix_(*grids)] = view
         self.counter.write(view.size, structure="fenwick")
-
-    def apply_batch_array(self, indices, deltas) -> int:
-        """Array-signature batch updates, looped per row.
-
-        The Fenwick update paths are log-structured (a different
-        ``np.ix_`` grid per cell), not suffix regions, so there is no
-        shared cumulative-sum pass to batch them into; the fallback keeps
-        the uniform ``apply_batch_array`` contract — and the per-update
-        ledger — by looping :meth:`apply_delta`.
-        """
-        idx, deltas = indexing.normalize_update_batch(
-            indices, deltas, self.shape
-        )
-        deltas = self.coerce_deltas(deltas)
-        for row, delta in zip(idx, deltas):
-            self.apply_delta(tuple(int(c) for c in row), delta)
-        return len(idx)
 
     def storage_cells(self) -> int:
         """The tree is exactly the size of A."""

@@ -47,27 +47,25 @@ class NaiveCube(RangeSumMethod):
             self._batch_prefix = p1
         return self._batch_prefix
 
-    def prefix_sum_many(self, targets) -> np.ndarray:
+    def _prefix_rows(self, rows: np.ndarray) -> np.ndarray:
         """Batched prefix sums from one shared prefix pass over ``A``.
 
         Charges the same logical cost as looping :meth:`prefix_sum`:
         every cell of every prefix region, however the lookup is
         physically served.
         """
-        batch = indexing.normalize_index_batch(targets, self.shape)
-        if len(batch) == 0:
+        if len(rows) == 0:
             return np.empty(0, dtype=self._dtype)
-        volumes = np.prod(batch.astype(np.int64) + 1, axis=1)
+        volumes = np.prod(rows.astype(np.int64) + 1, axis=1)
         self.counter.read(int(volumes.sum()), structure="A")
-        return self._padded_prefix()[tuple((batch + 1).T)]
+        return self._padded_prefix()[tuple((rows + 1).T)]
 
-    def range_sum_many(self, lows, highs) -> np.ndarray:
+    def _range_rows(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Batched range sums via ``2^d`` gathers on the padded prefix.
 
         Charges each query's region volume — the naive method's logical
         scan cost — exactly as the looped :meth:`range_sum` does.
         """
-        lo, hi = indexing.normalize_range_batch(lows, highs, self.shape)
         if len(lo) == 0:
             return np.empty(0, dtype=self._dtype)
         volumes = np.prod((hi - lo + 1).astype(np.int64), axis=1)
@@ -118,22 +116,15 @@ class NaiveCube(RangeSumMethod):
             count += 1
         return count
 
-    def apply_batch_array(self, indices, deltas) -> int:
+    def _apply_rows(self, idx: np.ndarray, deltas: np.ndarray) -> None:
         """One ``np.add.at`` scatter (duplicate rows accumulate).
 
         Charges one write per row — the same ledger as looping
         :meth:`apply_delta` — and invalidates the batch-query cache once.
         """
-        idx, deltas = indexing.normalize_update_batch(
-            indices, deltas, self.shape
-        )
-        if len(idx) == 0:
-            return 0
-        deltas = self.coerce_deltas(deltas)
         np.add.at(self._a, tuple(idx.T), deltas)
         self._batch_prefix = None
         self.counter.write(len(idx), structure="A")
-        return len(idx)
 
     def storage_cells(self) -> int:
         """The naive method stores exactly the source array."""

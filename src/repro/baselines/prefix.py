@@ -54,10 +54,7 @@ class PrefixSumCube(RangeSumMethod):
         self.counter.read(len(rows), structure="P")
         return self._p[tuple(rows.T)]
 
-    def range_sum_many(self, lows, highs) -> np.ndarray:
-        """Batched range sums: one gather over all stacked corners."""
-        lo, hi = indexing.normalize_range_batch(lows, highs, self.shape)
-        return self._corner_range_sum_many(lo, hi)
+    _range_rows = RangeSumMethod._corner_range_sum_many
 
     def _apply_delta(self, index: Sequence[int], delta) -> None:
         """Cascade ``delta`` into every P-cell dominating ``index``.
@@ -94,24 +91,17 @@ class PrefixSumCube(RangeSumMethod):
             indices, np.asarray([delta for _, delta in batch])
         )
 
-    def apply_batch_array(self, indices, deltas) -> int:
+    def _apply_rows(self, idx: np.ndarray, deltas: np.ndarray) -> None:
         """Array-native :meth:`apply_batch`: scatter, prefix-sum, add.
 
         Same one-pass fold and same ledger (one ``n^d`` write pass per
         non-empty batch, however large), with ``np.add.at`` replacing the
         per-row Python scatter.
         """
-        idx, deltas = indexing.normalize_update_batch(
-            indices, deltas, self.shape
-        )
-        if len(idx) == 0:
-            return 0
-        deltas = self.coerce_deltas(deltas)
         spread = np.zeros(self.shape, dtype=self._p.dtype)
         np.add.at(spread, tuple(idx.T), deltas)
         self._p += build_prefix_array(spread)
         self.counter.write(self._p.size, structure="P")
-        return len(idx)
 
     def storage_cells(self) -> int:
         """P has exactly the same size as A."""

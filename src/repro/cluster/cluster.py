@@ -53,6 +53,7 @@ from repro.cluster.node import NODE_FAILURES, ClusterNode
 from repro.cluster.replicaset import HedgePolicy, ReplicaSet
 from repro.cluster.scrub import AntiEntropyScrubber
 from repro.cluster.shardmap import ShardMap
+from repro.core.indexing import BoxBatch
 from repro.deadline import Deadline
 from repro.errors import (
     ClusterError,
@@ -441,7 +442,7 @@ class CubeCluster:
         """``(values, estimates, receipt or stamp)`` of one batched read,
         retried once against the new topology if a flip made a shard
         look unavailable."""
-        if len(lows) != len(highs):
+        if highs is not None and len(lows) != len(highs):
             raise ClusterError(
                 f"{len(lows)} lows vs {len(highs)} highs"
             )
@@ -500,14 +501,16 @@ class CubeCluster:
         partials: List[Tuple[np.ndarray, np.ndarray]] = []
         shard_versions: Dict[int, int] = {}
         degraded: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        for shard, idx, local_lows, local_highs in per_shard:
+        for shard, idx, lo, hi in per_shard:
+            # a piece clipped to its slab is in bounds for its shard
+            local = BoxBatch(lo, hi, shardmap.shard_shape(shard))
             try:
                 values, version = replica_sets[shard].range_sum_many(
-                    local_lows, local_highs, deadline
+                    local, None, deadline
                 )
             except ClusterUnavailableError:
                 if allow_estimate:
-                    degraded[shard] = (idx, local_lows, local_highs)
+                    degraded[shard] = (idx, lo, hi)
                     continue
                 self.metrics.inc(unavailable_errors=1)
                 raise

@@ -154,16 +154,18 @@ class RangeSumMethod(abc.ABC):
         return np.asarray(results)
 
     def range_sum_many(self, lows, highs) -> np.ndarray:
-        """Batched :meth:`range_sum` over ``(Q, d)`` low/high corner arrays.
-
-        Returns a length-Q vector of inclusive range sums. The base
-        implementation loops :meth:`range_sum`, which preserves each
-        method's native query path (and therefore its native counter
-        charges) even for subclasses that never vectorize. Vectorized
-        subclasses whose ``range_sum`` is the generic corner identity
-        override this with :meth:`_corner_range_sum_many`.
-        """
+        """Batched :meth:`range_sum` over ``(Q, d)`` low/high corner arrays
+        (or a :class:`~repro.core.indexing.BoxBatch` and ``None``):
+        validates once and hands the boxes to :meth:`_range_rows`."""
         lo, hi = indexing.normalize_range_batch(lows, highs, self.shape)
+        return self._range_rows(lo, hi)
+
+    def _range_rows(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Range sums of an already-validated box batch. Loops
+        :meth:`range_sum`, which keeps each method's native query path
+        and counter charges; vectorized subclasses whose ``range_sum`` is
+        the generic corner identity set ``_range_rows`` to
+        :meth:`_corner_range_sum_many`."""
         results = [
             self.range_sum(tuple(int(c) for c in l), tuple(int(c) for c in h))
             for l, h in zip(lo, hi)
@@ -294,21 +296,24 @@ class RangeSumMethod(abc.ABC):
         """Apply an ``(m, d)`` index batch with aligned ``(m,)`` deltas.
 
         The array-native counterpart of :meth:`apply_batch`, fed directly
-        by the serving layer's coalescer. The base implementation loops
-        :meth:`apply_delta` (identical values and ledger); methods with a
-        bulk path override it — the RPS cube routes through its strategy
-        planner, the prefix cube folds the batch into one pass, the naive
-        cube scatters in one ``np.add.at``.
-
-        Returns the number of updates applied.
+        by the serving layer's coalescer: validates once, fits the deltas
+        into the cube's dtype and hands a non-empty batch to
+        :meth:`_apply_rows`. Returns the number of updates applied.
         """
         idx, deltas = indexing.normalize_update_batch(
             indices, deltas, self.shape
         )
-        deltas = self.coerce_deltas(deltas)
-        for row, delta in zip(idx, deltas):
-            self.apply_delta(tuple(int(c) for c in row), delta)
+        if len(idx) == 0:
+            return 0
+        self._apply_rows(idx, self.coerce_deltas(deltas))
         return len(idx)
+
+    def _apply_rows(self, idx: np.ndarray, deltas: np.ndarray) -> None:
+        """Apply validated rows with deltas in the cube's dtype. Loops
+        the method's cascade (the values and ledger of looping
+        :meth:`apply_delta`); bulk paths override it."""
+        for row, delta in zip(idx.tolist(), deltas):
+            self._apply_delta(tuple(row), delta)
 
     # -- introspection ------------------------------------------------------
 

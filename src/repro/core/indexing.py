@@ -14,6 +14,7 @@ matching the paper's formulation ``SUM(A[l_1..h_1, ..., l_d..h_d])``.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from typing import Iterator, Sequence, Tuple
 
@@ -83,7 +84,8 @@ def normalize_index_batch(targets, shape: Sequence[int]) -> np.ndarray:
     a ``(0, d)`` result.
 
     Returns:
-        A ``(Q, d)`` ``np.intp`` array of validated coordinates.
+        A C-contiguous ``(Q, d)`` ``np.intp`` array of validated
+        coordinates.
 
     Raises:
         DimensionError: if rows do not have one coordinate per dimension.
@@ -113,7 +115,7 @@ def normalize_index_batch(targets, shape: Sequence[int]) -> np.ndarray:
         raise TypeError(
             f"coordinate batches must be integer-typed, got {arr.dtype}"
         )
-    arr = arr.astype(np.intp, copy=False)
+    arr = np.ascontiguousarray(arr, dtype=np.intp)
     bounds = np.asarray(shape, dtype=np.intp)
     bad = (arr < 0) | (arr >= bounds)
     if bad.any():
@@ -125,23 +127,54 @@ def normalize_index_batch(targets, shape: Sequence[int]) -> np.ndarray:
     return arr
 
 
-def normalize_range_batch(
-    lows, highs, shape: Sequence[int]
-) -> Tuple[np.ndarray, np.ndarray]:
+@dataclasses.dataclass(frozen=True, eq=False)
+class BoxBatch:
+    """Inclusive boxes checked against ``shape``: C-contiguous ``(Q, d)``
+    ``np.intp`` arrays with ``0 <= lows <= highs < shape`` row by row.
+
+    Only :func:`normalize_range_batch` builds one from caller input; a
+    layer may derive one from a checked batch (a row subset, a clip to a
+    shard's slab). ``len()`` is the box count; it unpacks as ``lo, hi``.
+    """
+
+    lows: np.ndarray
+    highs: np.ndarray
+    shape: Tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.lows)
+
+    def __iter__(self):
+        return iter((self.lows, self.highs))
+
+    def take(self, rows: np.ndarray) -> "BoxBatch":
+        """The boxes at ``rows``, still checked against ``shape``."""
+        lows, highs = self.lows.take(rows, 0), self.highs.take(rows, 0)
+        return BoxBatch(lows, highs, self.shape)
+
+
+def normalize_range_batch(lows, highs, shape: Sequence[int]) -> BoxBatch:
     """Validate a batch of inclusive query ranges ``[lows[q], highs[q]]``.
 
     The batch counterpart of :func:`normalize_range`. Both inputs follow
     the :func:`normalize_index_batch` conventions and must have the same
-    number of rows.
+    number of rows. A :class:`BoxBatch` passed as ``lows`` (``highs`` is
+    then ignored, by convention ``None``) comes back as is when it was
+    checked against ``shape``, and is checked again otherwise.
 
     Returns:
-        The pair of validated ``(Q, d)`` ``np.intp`` arrays.
+        The validated :class:`BoxBatch`.
 
     Raises:
         DimensionError: on arity or batch-length mismatch.
         RangeError: if a bound is out of the cube or ``low > high``
             anywhere.
     """
+    shape = tuple(shape)
+    if type(lows) is BoxBatch:
+        if lows.shape == shape:
+            return lows
+        lows, highs = lows
     lo = normalize_index_batch(lows, shape)
     hi = normalize_index_batch(highs, shape)
     if len(lo) != len(hi):
@@ -155,7 +188,7 @@ def normalize_range_batch(
             f"inverted range in batch row {q} on axis {axis}: "
             f"low {int(lo[q, axis])} > high {int(hi[q, axis])}"
         )
-    return lo, hi
+    return BoxBatch(lo, hi, shape)
 
 
 def normalize_update_batch(

@@ -120,10 +120,7 @@ class RelativePrefixSumCube(RangeSumMethod):
         """
         return self.overlay.contribution_rows(rows) + self.rp.value_rows(rows)
 
-    def range_sum_many(self, lows, highs) -> np.ndarray:
-        """Batched range sums: the corner identity over batched prefixes."""
-        lo, hi = indexing.normalize_range_batch(lows, highs, self.shape)
-        return self._corner_range_sum_many(lo, hi)
+    _range_rows = RangeSumMethod._corner_range_sum_many
 
     def explain_prefix(self, target: Sequence[int]) -> dict:
         """Break one prefix sum into its stored components.

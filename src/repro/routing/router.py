@@ -18,7 +18,8 @@ The router consumes and speaks one backend protocol — ``shape``,
 ``current_stamp()``, ``query_many(lows, highs, deadline)`` returning
 ``(values, stamp)``, ``submit_batch``, ``flush``, ``stats``, and the
 optional ``query_many_estimated`` — which the service and the cluster
-implement natively, so no adapter sits between the layers.
+implement natively, so no adapter sits between the layers. The router
+hands each batch down checked, as a ``BoxBatch`` with ``highs=None``.
 
 The correctness contract — the one the property suite enforces — is
 that every answer is stamped with the snapshot version(s) it was
@@ -53,8 +54,8 @@ PER_BOX_CACHE_MAX_BATCH = 512
 
 def _is_row_batch(lows, highs, d: int) -> bool:
     """True for a ``(Q, d)`` pair of C-contiguous ``intp`` arrays — the
-    form :func:`~repro.core.indexing.normalize_range_batch` returns, so
-    its bytes alone identify a validated batch."""
+    form of a checked :class:`~repro.core.indexing.BoxBatch`'s arrays,
+    so its bytes alone identify a validated batch."""
     return (
         type(lows) is np.ndarray
         and type(highs) is np.ndarray
@@ -269,9 +270,8 @@ class QueryRouter:
         # only a miss pays for validation
         prevalidated = _is_row_batch(lows, highs, len(self.shape))
         if not prevalidated:
-            lows, highs = indexing.normalize_range_batch(
-                lows, highs, self.shape
-            )
+            boxes = indexing.normalize_range_batch(lows, highs, self.shape)
+            lows, highs = boxes
         q = len(lows)
         stamp = self.backend.current_stamp()
 
@@ -290,9 +290,7 @@ class QueryRouter:
             if status is STALE:
                 self.metrics.inc(batch_stale_rejects=1)
         if prevalidated:
-            lows, highs = indexing.normalize_range_batch(
-                lows, highs, self.shape
-            )
+            boxes = indexing.normalize_range_batch(lows, highs, self.shape)
 
         # the batch is assembled with vectorized fills at the end so a
         # 10^4-box page never pays a per-box Python loop outside the
@@ -334,18 +332,19 @@ class QueryRouter:
                 if allow_estimate
                 else None
             )
-            # take() gathers (Q, d) rows ~10x faster than lows[pending]
-            pending_lows = lows.take(pending, axis=0)
-            pending_highs = highs.take(pending, axis=0)
+            # the backend gets the checked batch, so it checks nothing
+            # again; take() gathers rows ~10x faster than lows[pending]
+            if len(pending) < q:
+                boxes = boxes.take(pending)
             if estimated_query is not None:
                 values, box_estimates, backend_stamp = estimated_query(
-                    pending_lows, pending_highs, deadline=deadline
+                    boxes, None, deadline=deadline
                 )
                 if not any(e is not None for e in box_estimates):
                     box_estimates = None
             else:
                 values, backend_stamp = self.backend.query_many(
-                    pending_lows, pending_highs, deadline=deadline
+                    boxes, None, deadline=deadline
                 )
             self.metrics.inc(backend_queries=len(pending))
             self.metrics.observe(

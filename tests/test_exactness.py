@@ -25,6 +25,8 @@ from repro import (
     RelativePrefixSumCube,
 )
 from repro.cluster import CubeCluster
+from repro.core import indexing
+from repro.errors import ClusterError, DimensionError, RangeError
 
 BIG = 2 ** 60
 
@@ -246,3 +248,129 @@ def test_float_cell_coordinates_are_rejected_not_truncated(tmp_path):
         assert cluster.shardmap.shard_of((3, 1)) == 0
         with pytest.raises(TypeError, match="integer"):
             cluster.shardmap.shard_of((3.7, 1))
+
+
+# -- malformed boxes: one error per stack, and one check per read -------------
+
+#: malformed ``(lows, highs)`` batches on an 8x8 cube
+MALFORMED = {
+    "arity": ([(0, 0, 0)], [(1, 1, 1)]),
+    "length_mismatch": ([(0, 0), (1, 1)], [(1, 1)]),
+    "inverted": ([(3, 0)], [(1, 1)]),
+    "out_of_bounds": ([(0, 0)], [(8, 1)]),
+    "negative": ([(-1, 0)], [(1, 1)]),
+    "float": ([(0.5, 0)], [(1, 1)]),
+    "ragged": ([(0, 0), (1,)], [(1, 1), (2, 2)]),
+}
+
+#: the error each stack raises; a bare cluster wraps three of them
+#: (its shard map reports arity and ragged rows as ``RangeError``, and
+#: it compares the two batch lengths itself)
+RAISES = {
+    "arity": DimensionError,
+    "length_mismatch": DimensionError,
+    "inverted": RangeError,
+    "out_of_bounds": RangeError,
+    "negative": RangeError,
+    "float": TypeError,
+    "ragged": ValueError,
+}
+CLUSTER_RAISES = {
+    "arity": RangeError,
+    "length_mismatch": ClusterError,
+    "ragged": RangeError,
+}
+
+MATRIX_STACKS = (
+    "cube", "service", "router->service", "cluster", "router->cluster",
+)
+COUNTED_STACKS = MATRIX_STACKS[1:] + ("net->router->cluster",)
+
+
+@pytest.fixture(scope="module")
+def readers(tmp_path_factory):
+    """Every stack of :func:`stacks` plus a bare cube, over one 8x8
+    cube, built once for the module."""
+    cube = np.arange(64, dtype=np.int64).reshape(8, 8)
+    with stacks(cube, tmp_path_factory.mktemp("cluster")) as built:
+        built["cube"] = RelativePrefixSumCube(cube).range_sum_many
+        yield cube, built
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize("name", MATRIX_STACKS)
+def test_malformed_boxes_raise_the_same_error_per_stack(
+    readers, name, case
+):
+    _, built = readers
+    lows, highs = MALFORMED[case]
+    expected = RAISES[case]
+    if name == "cluster":
+        expected = CLUSTER_RAISES.get(case, expected)
+    with pytest.raises(Exception) as caught:
+        built[name](lows, highs)
+    assert caught.type is expected, (
+        f"{name} raised {caught.type.__name__} for {case}, "
+        f"expected {expected.__name__}"
+    )
+
+
+@pytest.mark.parametrize("name", MATRIX_STACKS)
+def test_empty_batch_answers_empty_per_stack(readers, name):
+    _, built = readers
+    assert np.asarray(built[name]([], [])).tolist() == []
+
+
+@pytest.mark.parametrize("name", COUNTED_STACKS)
+def test_each_read_checks_its_boxes_once(readers, name, monkeypatch):
+    """A read that misses every cache checks its lows and highs once
+    (two ``normalize_index_batch`` calls), however many layers and
+    shards it crosses: each layer below hands the checked batch on."""
+    cube, built = readers
+    real = indexing.normalize_index_batch
+    calls = []
+
+    def counting(targets, shape):
+        calls.append(tuple(shape))
+        return real(targets, shape)
+
+    monkeypatch.setattr(indexing, "normalize_index_batch", counting)
+    for read in range(3):
+        # boxes no other read asks for (the net stack shares its
+        # router), each spanning both shards, so no router tier can
+        # answer them from its cache
+        fresh = 3 * COUNTED_STACKS.index(name) + read
+        lows = [(0, fresh % 8), (1, fresh // 8)]
+        highs = [(7, 7), (6, 5)]
+        calls.clear()
+        values = np.asarray(built[name](lows, highs))
+        assert values.tolist() == [
+            int(cube[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1].sum())
+            for lo, hi in zip(lows, highs)
+        ]
+        assert calls == [cube.shape, cube.shape], (
+            f"{name} read {read} checked its boxes {len(calls) // 2} "
+            f"times: {calls}"
+        )
+
+
+def test_a_batch_checked_against_another_shape_is_checked_again():
+    """A ``BoxBatch`` is trusted only by a cube of the shape it was
+    checked against; elsewhere it is checked like raw boxes."""
+    lows, highs = [[0, 0], [40, 40]], [[3, 3], [50, 50]]
+    batch = indexing.normalize_range_batch(lows, highs, (64, 64))
+    assert len(batch) == 2
+    lo, hi = batch
+    assert lo.tolist() == lows and hi.tolist() == highs
+    assert indexing.normalize_range_batch(batch, None, (64, 64)) is batch
+    small = np.ones((32, 32), dtype=np.int64)
+    with CubeService(RelativePrefixSumCube, small) as service:
+        with pytest.raises(RangeError) as raw:
+            service.range_sum_many(lows, highs)
+        with pytest.raises(RangeError) as checked:
+            service.range_sum_many(batch, None)
+        assert str(checked.value) == str(raw.value)
+        inside = indexing.normalize_range_batch(
+            lows[:1], highs[:1], (64, 64)
+        )
+        assert service.range_sum_many(inside, None).tolist() == [16]
