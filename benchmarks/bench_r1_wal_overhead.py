@@ -22,6 +22,12 @@ WAL-off serialized throughput at the paper-workload group size (1,000
 updates per group): durability must stay in the same cost class as the
 serving path it protects, not dominate it.
 
+Two report-only fields time standing a WAL-backed service up at the
+same shape (no gate): ``open_ms``, the median of :data:`OPENS`
+constructions (one build, one copy for the back buffer, one seed
+checkpoint), and ``checkpoint_ms``, the median of as many
+``write_checkpoint`` + ``load_method`` round trips.
+
 Writes ``results/R1.json`` next to S1/S2/U1. Run standalone
 (``python benchmarks/bench_r1_wal_overhead.py``) or via pytest.
 """
@@ -34,7 +40,9 @@ import time
 import numpy as np
 
 from repro.core.rps import RelativePrefixSumCube
+from repro.persistence import load_method
 from repro.serve import CubeService, DurabilityPolicy
+from repro.serve.wal import checkpoint_path, write_checkpoint
 from repro.workloads import datagen
 
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
@@ -46,6 +54,9 @@ UPDATES_PER_GROUP = 1_000
 
 #: Repeats per configuration; the reported time is the median run.
 REPEATS = 3
+
+#: Samples behind each of ``open_ms`` and ``checkpoint_ms``.
+OPENS = 9
 
 #: Strict-durability serialized throughput must stay within this factor
 #: of the WAL-off path (the R1 acceptance gate).
@@ -114,6 +125,31 @@ def _median(values):
     return ordered[len(ordered) // 2]
 
 
+def _open_ms(cube):
+    """Median ms to construct a WAL-backed (fsync) service."""
+    samples = []
+    for _ in range(OPENS):
+        with tempfile.TemporaryDirectory(prefix="r1-open-") as tmp:
+            start = time.perf_counter()
+            service = _service(cube, DurabilityPolicy(dir=tmp))
+            samples.append(time.perf_counter() - start)
+            service.close()
+    return _median(samples) * 1e3
+
+
+def _checkpoint_ms(cube):
+    """Median ms of one checkpoint write plus one load of it."""
+    method = RelativePrefixSumCube(cube, box_size=BOX_SIZE)
+    samples = []
+    with tempfile.TemporaryDirectory(prefix="r1-ckpt-") as tmp:
+        for seq in range(OPENS):
+            start = time.perf_counter()
+            write_checkpoint(method, tmp, seq)
+            load_method(checkpoint_path(tmp, seq))
+            samples.append(time.perf_counter() - start)
+    return _median(samples) * 1e3
+
+
 def run_r1(shape=SHAPE, groups=GROUPS, per_group=UPDATES_PER_GROUP, seed=31):
     """Measure the three durability configurations; returns the report."""
     cube = datagen.uniform_cube(shape, seed=seed)
@@ -172,6 +208,8 @@ def run_r1(shape=SHAPE, groups=GROUPS, per_group=UPDATES_PER_GROUP, seed=31):
         "seed": seed,
         "repeats": REPEATS,
         "max_overhead_gate": MAX_OVERHEAD,
+        "open_ms": _open_ms(cube),
+        "checkpoint_ms": _checkpoint_ms(cube),
         "rows": rows,
     }
 
@@ -206,6 +244,10 @@ def main():
     report = run_r1()
     path = write_report(report)
     print(f"wrote {path}")
+    print(
+        f"  open={report['open_ms']:.2f} ms  "
+        f"checkpoint write+load={report['checkpoint_ms']:.2f} ms"
+    )
     for row in report["rows"]:
         print(
             f"  {row['config']:>11}  "

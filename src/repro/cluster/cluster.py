@@ -442,10 +442,6 @@ class CubeCluster:
         """``(values, estimates, receipt or stamp)`` of one batched read,
         retried once against the new topology if a flip made a shard
         look unavailable."""
-        if highs is not None and len(lows) != len(highs):
-            raise ClusterError(
-                f"{len(lows)} lows vs {len(highs)} highs"
-            )
         with self._topology:
             shardmap = self.shardmap
             replica_sets = list(self.replica_sets)

@@ -42,7 +42,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.indexing import normalize_range_batch
-from repro.errors import ClusterError, DimensionError, RangeError
+from repro.errors import ClusterError, RangeError
 from repro.serve.group import UpdateGroup
 
 #: ``(shard, query_idx, local_lows, local_highs)``: the ascending batch
@@ -246,17 +246,16 @@ class ShardMap:
         with no overlap and no gap.
 
         Raises:
-            RangeError: if any box is inverted, out of bounds or of the
-                wrong arity, before any piece is cut.
+            RangeError: if any box is inverted or out of bounds.
+            DimensionError: on the wrong arity, or when ``lows`` and
+                ``highs`` differ in length.
+            ValueError: on ragged rows numpy cannot stack into ``(Q, d)``.
+
+        Each before any piece is cut, and as every other read stack
+        raises it (the check is
+        :func:`~repro.core.indexing.normalize_range_batch`).
         """
-        try:
-            low, high = normalize_range_batch(lows, highs, self.shape)
-        except (DimensionError, ValueError) as error:
-            # ValueError: ragged rows numpy cannot stack into (Q, d)
-            raise RangeError(
-                f"query boxes do not match cube arity {self.ndim}: "
-                f"{error}"
-            ) from None
+        low, high = normalize_range_batch(lows, highs, self.shape)
         if not len(low):
             return []
         first = np.searchsorted(self._starts, low[:, 0], side="right") - 1

@@ -267,10 +267,26 @@ class Overlay:
             for mask, span, shape in spans
         }
         self._flat = np.empty(start, dtype=dtype)
+        self._link_values()
+
+    def _link_values(self) -> None:
+        """Point every subset's value array at its span of ``_flat``."""
         self._values: Dict[int, np.ndarray] = {
             mask: self._flat[span].reshape(shape)
-            for mask, span, shape in spans
+            for mask, (span, shape, _, _) in self._spans.items()
         }
+
+    def __getstate__(self) -> dict:
+        # copy and pickle the flat buffer only: copied views would no
+        # longer alias it, so a looped cascade (which writes through
+        # ``_values``) would be invisible to the batched gather
+        state = self.__dict__.copy()
+        del state["_values"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._link_values()
 
     def _build(self, array: np.ndarray) -> None:
         """Vectorized construction of the 2^d - 1 per-subset value arrays.
@@ -576,7 +592,13 @@ class Overlay:
         The batched counterpart of :meth:`update_cost` — same counts,
         computed without mutating anything and without per-row Python.
         """
-        batch = indexing.normalize_index_batch(batch, self.shape)
+        return self.update_cost_rows(
+            indexing.normalize_index_batch(batch, self.shape)
+        )
+
+    def update_cost_rows(self, batch: np.ndarray) -> np.ndarray:
+        """:meth:`update_cost_many` over an already-validated ``(m, d)``
+        batch."""
         totals = np.zeros(len(batch), dtype=np.int64)
         if len(batch) == 0:
             return totals

@@ -262,7 +262,7 @@ class RelativePrefixSumCube(RangeSumMethod):
         rebuild_cells = self.storage_cells()
         if (
             m * self._worst_update_cells > rebuild_cells
-            and int(self.update_cost_many(batch).sum()) > rebuild_cells
+            and int(self._update_cost_rows(batch).sum()) > rebuild_cells
         ):
             return "rebuild"
         d = self.ndim
@@ -326,8 +326,13 @@ class RelativePrefixSumCube(RangeSumMethod):
         ``"total"`` — identical counts with no per-row Python, used by
         ``"auto"`` batch planning.
         """
-        batch = indexing.normalize_index_batch(indices, self.shape)
-        return self.rp.update_sizes(batch) + self.overlay.update_cost_many(
+        return self._update_cost_rows(
+            indexing.normalize_index_batch(indices, self.shape)
+        )
+
+    def _update_cost_rows(self, batch: np.ndarray) -> np.ndarray:
+        """:meth:`update_cost_many` over an already-validated batch."""
+        return self.rp.update_sizes(batch) + self.overlay.update_cost_rows(
             batch
         )
 

@@ -52,6 +52,7 @@ On top of that, this layer makes the service *production-shaped*:
 
 from __future__ import annotations
 
+import copy
 import queue
 import threading
 import time
@@ -112,9 +113,11 @@ class CubeService:
 
     Args:
         method_cls: any :class:`~repro.core.base.RangeSumMethod`
-            subclass; two instances are built (front and back buffer).
+            subclass. One instance is built (the front buffer) and the
+            back buffer is a ``copy.deepcopy`` of it, so the paper's
+            O(n^d) build runs once per service (and once per repair).
         array: the initial dense cube.
-        method_kwargs: forwarded to both constructions (box sizes etc.).
+        method_kwargs: forwarded to every construction (box sizes etc.).
         poll_seconds: writer heartbeat while idle. The writer blocks on
             the queue (submits and ``close()`` wake it immediately via
             the queue itself), so this only bounds how often an idle
@@ -162,7 +165,7 @@ class CubeService:
         self._method_kwargs = kwargs
         initial = int(_initial_version)
         self._front = _Snapshot(method_cls(source, **kwargs), version=initial)
-        self._back = method_cls(source, **kwargs)
+        self._back = copy.deepcopy(self._front.method)
         self.shape = self._front.method.shape
         self.metrics = MetricsRegistry(
             counters=(
@@ -876,7 +879,7 @@ class CubeService:
         indices, deltas = self._coalesce(merged_idx, merged_deltas)
         applied = len(indices)
         retired = self._front
-        rebuilt = False
+        spare = None
         try:
             if applied:
                 self._back.apply_batch_array(indices, deltas)
@@ -887,7 +890,10 @@ class CubeService:
             # that actually fail on their own
             self.metrics.inc(writer_errors=1)
             fresh_method = self._rebuild_with_quarantine(groups)
-            rebuilt = True
+            # the retired buffer cannot replay a quarantined group
+            # either; its successor is a copy of the rebuilt state, taken
+            # before readers can reach (and charge reads to) the original
+            spare = copy.deepcopy(fresh_method)
         fresh = _Snapshot(fresh_method, retired.version + len(groups))
         # Publish the snapshot and the applied-group counter in one
         # critical section so stats()/flush() never observe a version
@@ -908,12 +914,8 @@ class CubeService:
             while retired.active:
                 retired.cond.wait()
         swap_wait = time.perf_counter() - wait_start
-        if rebuilt:
-            # the retired buffer cannot replay a quarantined group
-            # either; rebuild it from the freshly published state
-            self._back = self._method_cls(
-                fresh_method.to_array(), **self._method_kwargs
-            )
+        if spare is not None:
+            self._back = spare
         else:
             if applied:
                 retired.method.apply_batch_array(indices, deltas)
@@ -949,21 +951,23 @@ class CubeService:
         return method
 
     def _handle_rebuild(self, token: _Rebuild) -> None:
-        """Rebuild both buffers from the published snapshot's array."""
+        """Rebuild the published snapshot from its array; the back
+        buffer becomes a copy of the rebuild."""
         try:
             retired = self._front
-            array = retired.method.to_array()
-            fresh = _Snapshot(
-                self._method_cls(array, **self._method_kwargs),
-                retired.version,
+            method = self._method_cls(
+                retired.method.to_array(), **self._method_kwargs
             )
+            # copied before publishing: readers charge the front's ledger
+            spare = copy.deepcopy(method)
+            fresh = _Snapshot(method, retired.version)
             self.metrics.inc(rebuilds=1)
             with self._state_lock:
                 self._front = fresh
             with retired.cond:
                 while retired.active:
                     retired.cond.wait()
-            self._back = self._method_cls(array, **self._method_kwargs)
+            self._back = spare
         except BaseException as error:
             token.error = error
             self.metrics.inc(writer_errors=1)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.baselines.naive import NaiveCube
 from repro.baselines.prefix import PrefixSumCube
+from repro.core import indexing
 from repro.core.rps import RelativePrefixSumCube
 from repro.errors import RangeError
 from repro.workloads import updategen
@@ -285,6 +286,35 @@ class TestAutoStrategySelection:
         )
         idx = np.full((500, 2), 255, dtype=np.intp)
         assert cube.choose_batch_strategy(idx) == "incremental"
+
+    @pytest.mark.parametrize("cell, chosen", [
+        (1, "rebuild"), (127, "vectorized"),
+    ])
+    def test_batches_are_checked_once(
+        self, cube, monkeypatch, cell, chosen
+    ):
+        """``auto`` sums the exact cascade costs of a batch this large
+        without checking its rows again: one ``normalize_index_batch``
+        call per ``apply_batch_array``, with the ledger a plain
+        ``choose_batch_strategy`` + strategy call charges."""
+        idx = np.full((500, 2), cell, dtype=np.intp)
+        assert 500 * cube._worst_update_cells > cube.storage_cells()
+        assert cube.choose_batch_strategy(idx) == chosen
+        twin = RelativePrefixSumCube(cube.to_array(), box_size=8)
+        twin.apply_batch_array(idx, 1, strategy=chosen)
+        real = indexing.normalize_index_batch
+        calls = []
+
+        def counting(targets, shape):
+            calls.append(tuple(shape))
+            return real(targets, shape)
+
+        monkeypatch.setattr(indexing, "normalize_index_batch", counting)
+        cube.counter.reset()
+        cube.apply_batch_array(idx, 1)
+        assert calls == [cube.shape]
+        assert cube.counter.by_structure == twin.counter.by_structure
+        assert np.array_equal(cube.to_array(), twin.to_array())
 
     def test_auto_array_path_applies_correctly(self, rng):
         array = rng.integers(0, 9, size=(64, 64))

@@ -26,7 +26,7 @@ from repro import (
 )
 from repro.cluster import CubeCluster
 from repro.core import indexing
-from repro.errors import ClusterError, DimensionError, RangeError
+from repro.errors import DimensionError, RangeError
 
 BIG = 2 ** 60
 
@@ -263,9 +263,7 @@ MALFORMED = {
     "ragged": ([(0, 0), (1,)], [(1, 1), (2, 2)]),
 }
 
-#: the error each stack raises; a bare cluster wraps three of them
-#: (its shard map reports arity and ragged rows as ``RangeError``, and
-#: it compares the two batch lengths itself)
+#: the error every stack raises
 RAISES = {
     "arity": DimensionError,
     "length_mismatch": DimensionError,
@@ -275,12 +273,6 @@ RAISES = {
     "float": TypeError,
     "ragged": ValueError,
 }
-CLUSTER_RAISES = {
-    "arity": RangeError,
-    "length_mismatch": ClusterError,
-    "ragged": RangeError,
-}
-
 MATRIX_STACKS = (
     "cube", "service", "router->service", "cluster", "router->cluster",
 )
@@ -305,8 +297,6 @@ def test_malformed_boxes_raise_the_same_error_per_stack(
     _, built = readers
     lows, highs = MALFORMED[case]
     expected = RAISES[case]
-    if name == "cluster":
-        expected = CLUSTER_RAISES.get(case, expected)
     with pytest.raises(Exception) as caught:
         built[name](lows, highs)
     assert caught.type is expected, (

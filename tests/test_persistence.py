@@ -1,5 +1,7 @@
 """Tests for saving/loading cubes, schemas, and engines (repro.persistence)."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from repro.cube.encoders import (
 from repro.cube.engine import DataCubeEngine
 from repro.cube.schema import CubeSchema, Dimension
 from repro.errors import EncodingError, StorageError
+from repro.serve import CubeService, DurabilityPolicy
+from repro.serve import wal as wal_mod
 from tests.conftest import METHOD_CLASSES, random_range
 
 
@@ -253,3 +257,75 @@ class TestAtomicityAndVerification:
         path.write_bytes(blob[:-20])
         with pytest.raises(StorageError, match="engine.npz"):
             persistence.load_engine(path)
+
+
+class TestStoredCheckpointFormat:
+    """Files are written stored (uncompressed): each entry is under the
+    zip CRC and the embedded digest, and files an earlier version wrote
+    compressed still load."""
+
+    def test_every_entry_is_stored_and_digest_verified(self, tmp_path):
+        method = RelativePrefixSumCube(
+            np.arange(12 * 20, dtype=np.int64).reshape(12, 20),
+            box_size=(3, 5),
+        )
+        path = persistence.save_method(method, tmp_path / "cube")
+        with zipfile.ZipFile(path) as archive:
+            infos = archive.infolist()
+            assert archive.testzip() is None  # every CRC checks out
+        assert sorted(info.filename for info in infos) == [
+            "array.npy", "box_sizes.npy", "method.npy",
+            persistence.DIGEST_KEY + ".npy",
+        ]
+        assert all(
+            info.compress_type == zipfile.ZIP_STORED for info in infos
+        )
+        payload = persistence.verified_load(path)
+        assert persistence.DIGEST_KEY not in payload  # checked and popped
+        assert np.array_equal(payload["array"], method.to_array())
+
+    def test_compressed_checkpoint_recovers_with_wal_replay(self, tmp_path):
+        """A seed checkpoint in the earlier format (``savez_compressed``
+        plus the sha256 entry) loads, and the WAL replays on top."""
+        rng = np.random.default_rng(3)
+        truth = rng.integers(-9, 10, (16, 12)).astype(np.int64)
+        svc = CubeService(
+            RelativePrefixSumCube,
+            truth,
+            method_kwargs={"box_size": 4},
+            durability=DurabilityPolicy(dir=tmp_path, checkpoint_every=0),
+        )
+        for _ in range(5):
+            cells = [
+                ((int(rng.integers(16)), int(rng.integers(12))),
+                 int(rng.integers(-50, 50)))
+                for _ in range(7)
+            ]
+            svc.submit_batch(cells)
+            for cell, delta in cells:
+                truth[cell] += delta
+        svc.flush()
+        svc.abandon()  # no final checkpoint: only ckpt-0 plus the WAL
+        [(seq, path)] = wal_mod.list_checkpoints(tmp_path)
+        assert seq == 0
+        payload = persistence.verified_load(path)
+        payload[persistence.DIGEST_KEY] = np.array(
+            persistence._payload_digest(payload)
+        )
+        with open(path, "wb") as handle:
+            np.savez_compressed(handle, **payload)
+        with zipfile.ZipFile(path) as archive:
+            assert {
+                info.compress_type for info in archive.infolist()
+            } == {zipfile.ZIP_DEFLATED}
+        recovered = CubeService.recover(tmp_path)
+        try:
+            state = recovered.last_recovery
+            assert state.checkpoint_seq == 0
+            assert state.replayed_groups == 5
+            assert state.skipped_checkpoints == ()
+            assert recovered.version == 5
+            assert np.array_equal(recovered.snapshot_array()[0], truth)
+            assert recovered.range_sum((0, 0), (15, 11)) == truth.sum()
+        finally:
+            recovered.close()

@@ -1,5 +1,8 @@
 """Unit tests for the relative prefix sum cube (repro.core.rps)."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -195,3 +198,66 @@ class TestValidationAndDtypes:
         assert "box_size=3" in repr(
             RelativePrefixSumCube(paper_cube, box_size=3)
         )
+
+
+COPIES = {
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda cube: pickle.loads(pickle.dumps(cube)),
+}
+
+
+class TestCopies:
+    """A deep copy or an unpickled cube is a whole, independent cube:
+    its overlay's subset arrays stay views of its own flat buffer, so a
+    looped cascade (which writes through the views) shows in the batched
+    read (which gathers from the buffer)."""
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    def test_looped_updates_reach_the_batched_read(self, how):
+        a = np.arange(35, dtype=np.int64).reshape(5, 7)
+        cube = RelativePrefixSumCube(a, box_size=3)
+        dup = COPIES[how](cube)
+        dup.apply_delta((4, 6), 5)
+        dup.apply_delta((0, 0), 1)
+        whole = int(a.sum()) + 6
+        assert dup.range_sum((0, 0), (4, 6)) == whole
+        assert dup.range_sum_many([(0, 0)], [(4, 6)]).tolist() == [whole]
+        assert cube.range_sum_many([(0, 0)], [(4, 6)]).tolist() == [
+            int(a.sum())
+        ]
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    @pytest.mark.parametrize("shape, k", [
+        ((11,), 4),
+        ((7, 5), 3),
+        ((5, 7, 6), (2, 3, 4)),
+        ((5, 4, 3, 5), 2),
+    ], ids=["1d", "2d", "3d", "4d"])
+    def test_copy_answers_like_a_fresh_build(self, rng, how, shape, k):
+        a = rng.integers(-20, 20, size=shape).astype(np.int64)
+        cube = RelativePrefixSumCube(a, box_size=k)
+        dup = COPIES[how](cube)
+        truth = a.copy()
+        # the far corner sits in the ragged last box on every axis
+        corner = tuple(n - 1 for n in shape)
+        dup.apply_delta(corner, 7)
+        truth[corner] += 7
+        for strategy in ("incremental", "vectorized"):
+            idx = np.stack([rng.integers(0, n, 6) for n in shape], axis=1)
+            deltas = rng.integers(-9, 10, 6)
+            dup.apply_batch_array(idx, deltas, strategy=strategy)
+            np.add.at(truth, tuple(idx.T), deltas)
+        fresh = RelativePrefixSumCube(dup.to_array(), box_size=k)
+        assert np.array_equal(dup.to_array(), truth)
+        boxes = [random_range(rng, shape) for _ in range(24)]
+        lows = [low for low, _ in boxes]
+        highs = [high for _, high in boxes]
+        want = [brute_range_sum(truth, low, high) for low, high in boxes]
+        assert [dup.range_sum(low, high) for low, high in boxes] == want
+        assert dup.range_sum_many(lows, highs).tolist() == want
+        assert fresh.range_sum_many(lows, highs).tolist() == want
+        # the original is untouched
+        assert np.array_equal(cube.to_array(), a)
+        assert cube.range_sum_many(lows, highs).tolist() == [
+            brute_range_sum(a, low, high) for low, high in boxes
+        ]

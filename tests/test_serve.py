@@ -714,3 +714,91 @@ def test_update_group_iterates_as_pairs_on_every_pass():
         svc.flush()
         assert svc.cell_value((2, 1)) == 3.0
         assert svc.cell_value((0, 3)) == -4.0
+
+
+def _arrays(obj, seen=None):
+    """Every ndarray reachable from a structure's attributes."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _arrays(value, seen)
+    elif isinstance(obj, (tuple, list)):
+        for value in obj:
+            yield from _arrays(value, seen)
+    elif hasattr(obj, "__dict__"):
+        yield from _arrays(vars(obj), seen)
+
+
+class TestBufferCopies:
+    """The back buffer is a copy of the front, not a second build: the
+    two share no memory, and after any number of swap cycles each holds
+    exactly the bytes a fresh build of the same state would."""
+
+    SHAPE = (50, 45)
+    BOX = 8
+
+    def _assert_buffers_fresh(self, svc, truth):
+        front, back = svc._front.method, svc._back
+        assert front is not back
+        back_arrays = list(_arrays(back))
+        for mine in _arrays(front):
+            for other in back_arrays:
+                assert not np.shares_memory(mine, other)
+        fresh = RelativePrefixSumCube(truth, box_size=self.BOX)
+        for method in (front, back):
+            # RP's buffer less its padding, where the touched-box kernel
+            # spills a ragged last box's cells past the edge (never read)
+            assert method.rp._rp.dtype == fresh.rp._rp.dtype == np.int64
+            assert method.rp._rp.tobytes() == fresh.rp._rp.tobytes()
+            assert (
+                method.overlay._flat.tobytes()
+                == fresh.overlay._flat.tobytes()
+            )
+            for mask in fresh.overlay.masks():
+                assert np.shares_memory(
+                    method.overlay._values[mask], method.overlay._flat
+                )
+
+    def _service(self, truth):
+        return CubeService(
+            RelativePrefixSumCube,
+            truth,
+            method_kwargs={"box_size": self.BOX},
+        )
+
+    def test_swap_cycles_keep_both_buffers_fresh(self):
+        rng = np.random.default_rng(7)
+        truth = rng.integers(-50, 50, self.SHAPE).astype(np.int64)
+        with self._service(truth) as svc:
+            self._assert_buffers_fresh(svc, truth)
+            # one- and few-cell groups loop; the 40-cell one runs the
+            # touched-box kernel; the 400-cell one rebuilds
+            for size in (1, 3, 40, 2, 400, 5):
+                cells = np.stack(
+                    [rng.integers(0, n, size) for n in self.SHAPE], axis=1
+                )
+                deltas = rng.integers(-1000, 1000, size)
+                svc.submit_batch(UpdateGroup(cells, deltas))
+                np.add.at(truth, tuple(cells.T), deltas)
+                svc.flush()
+                self._assert_buffers_fresh(svc, truth)
+
+    def test_quarantine_and_repair_copy_the_rebuild(self):
+        truth = np.arange(50 * 45, dtype=np.int64).reshape(self.SHAPE)
+        with self._service(truth.copy()) as svc:
+            svc.submit_batch([((1, 2), 5)])
+            svc.submit_batch([((99, 0), 1)])  # out of bounds: poison
+            svc.flush()
+            truth[1, 2] += 5
+            assert [seq for seq, _ in svc.quarantined_groups()] == [2]
+            self._assert_buffers_fresh(svc, truth)
+            # damage the published snapshot so self_check repairs it
+            svc._front.method.overlay._flat[:] += 1
+            report = svc.self_check(probes=64)
+            assert report["repaired"] and report["ok"]
+            self._assert_buffers_fresh(svc, truth)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ShardMap
-from repro.errors import ClusterError, RangeError
+from repro.errors import ClusterError, DimensionError, RangeError
 from repro.serve import UpdateGroup
 
 from .conftest import brute_range_sum, random_range
@@ -290,9 +290,6 @@ class TestSplitBoxes:
         ((5, 0), (4, 3)),          # inverted
         ((0, 0), (10, 3)),         # out of bounds
         ((0, -1), (1, 1)),         # negative
-        ((0, 0, 0), (1, 1, 1)),    # wrong arity
-        ((0,), (1,)),              # wrong arity
-        ((0, 0), (1,)),            # low and high disagree
     ])
     def test_a_malformed_box_raises_range_error(self, low, high):
         shardmap = ShardMap((10, 4), 2)
@@ -301,7 +298,28 @@ class TestSplitBoxes:
         with pytest.raises(RangeError):
             shardmap.split_boxes([(0, 0), low], [(1, 1), high])
 
-    def test_ragged_rows_raise_range_error(self):
+    @pytest.mark.parametrize("low, high", [
+        ((0, 0, 0), (1, 1, 1)),    # wrong arity
+        ((0,), (1,)),              # wrong arity
+        ((0, 0), (1,)),            # low and high disagree
+    ])
+    def test_a_box_of_the_wrong_arity_raises_dimension_error(
+        self, low, high
+    ):
+        """The core's batch check, not re-wrapped: a bare cluster reads
+        with the same errors as every other stack."""
         shardmap = ShardMap((10, 4), 2)
-        with pytest.raises(RangeError):
+        with pytest.raises(DimensionError):
+            shardmap.split_boxes([low], [high])
+        with pytest.raises(DimensionError):
+            shardmap.split_boxes([low, low], [high, high])
+
+    def test_batches_of_different_lengths_raise_dimension_error(self):
+        shardmap = ShardMap((10, 4), 2)
+        with pytest.raises(DimensionError):
+            shardmap.split_boxes([(0, 0), (1, 1)], [(2, 2)])
+
+    def test_ragged_rows_raise_value_error(self):
+        shardmap = ShardMap((10, 4), 2)
+        with pytest.raises(ValueError):
             shardmap.split_boxes([(0, 0), (1,)], [(1, 1), (2, 2)])
